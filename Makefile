@@ -2,7 +2,10 @@ GO ?= go
 FUZZTIME ?= 30s
 BENCHTIME ?= 200ms
 
-.PHONY: build test short race vet lint fuzz bench kernelbench loadgen servingbench check
+WORKLOAD ?= edge-burst
+SECONDS ?= 5
+
+.PHONY: build test short race vet lint fuzz bench kernelbench e2ebench loadgen servingbench loc check
 
 build: ## Compile every package and binary.
 	$(GO) build ./...
@@ -33,6 +36,9 @@ bench: kernelbench ## Per-figure benchmarks plus the packed-kernel sweep.
 kernelbench: ## Packed-vs-scalar mask kernel sweep; refreshes BENCH_kernels.json.
 	$(GO) run ./cmd/edgeis-kernelbench -benchtime $(BENCHTIME) -out BENCH_kernels.json
 
+e2ebench: ## One workload of the repository benchmark (BENCHMARK.json, bench/README.md): make e2ebench WORKLOAD=offload-rtt SECONDS=5.
+	bash bench/run.sh --workload $(WORKLOAD) --seconds $(SECONDS)
+
 loadgen: ## Deterministic serving smoke: ci-smoke, its skip-compute twin and the sharded fleet arm on the simulator, each run twice and compared (the CI gate).
 	$(GO) run ./cmd/edgeis-loadgen -profile ci-smoke -check -out -
 	$(GO) run ./cmd/edgeis-loadgen -profile ci-smoke-skip -check -out -
@@ -40,5 +46,12 @@ loadgen: ## Deterministic serving smoke: ci-smoke, its skip-compute twin and the
 
 servingbench: ## Full serving SLO suite (all simulator profiles + tcp-smoke over sockets); refreshes BENCH_serving.json.
 	$(GO) run ./cmd/edgeis-loadgen -suite -check -out BENCH_serving.json
+
+loc: ## Non-test / test Go lines per package (wc -l), the size figure simplification PRs are judged on.
+	@$(GO) list -f '{{.Dir}} {{.ImportPath}}' ./... | while read d pkg; do \
+		n=$$(ls $$d/*.go | grep -v _test.go | xargs cat | wc -l); \
+		t=$$(ls $$d/*_test.go 2>/dev/null | xargs cat /dev/null | wc -l); \
+		printf '%6d %6d  %s\n' $$n $$t $$pkg; \
+	done | awk '{n+=$$1; t+=$$2; print} END {printf "%6d %6d  total (non-test, test)\n", n, t}'
 
 check: vet lint build test race ## Everything CI runs, in order.

@@ -6,9 +6,11 @@
 //   - sim: the deterministic virtual-time simulator. Two runs of the same
 //     profile produce byte-identical reports; this is what the committed
 //     BENCH_serving.json pins.
-//   - scheduler: wall-clock fleet against a real in-process edge.Scheduler.
-//   - tcp: wall-clock fleet of transport.Clients over loopback sockets
-//     against a transport.Server (or -addr for an external edgeis-server).
+//   - scheduler: wall-clock sessions against one real in-process
+//     edge.Scheduler per replica.
+//   - tcp: wall-clock fleet.FleetClients over loopback sockets against one
+//     transport.Server per replica (or -addr for one external
+//     edgeis-server).
 //
 // The committed BENCH_serving.json at the repo root is `-suite` output —
 // every named profile on the simulator plus the tcp-smoke profile over real
@@ -20,18 +22,20 @@
 // fails on any byte difference — the determinism gate CI runs. See
 // DESIGN.md §14 for how to read the reports.
 //
-// Sharded profiles (ci-smoke-fleet, fleet-3x, fleet-3x-kill1) run the edge
-// as a fleet of replicas with rendezvous session placement; every target
-// honours the shard count and the replica failure schedule. -replicas and
-// -kill-at (replica@ms, comma-separated) override both on any profile, so
-// one command can answer "what does this workload look like on 3 replicas
-// if one dies mid-run". See DESIGN.md §18 for the fleet semantics.
+// Every target runs the edge as a fleet of replicas with rendezvous session
+// placement — one replica unless the profile (ci-smoke-fleet, fleet-3x,
+// fleet-3x-kill1) shards it — and honours the replica failure schedule.
+// -replicas and -kill-at (replica@ms, comma-separated) override both on any
+// profile, so one command can answer "what does this workload look like on 3
+// replicas if one dies mid-run". See DESIGN.md §18 for the fleet semantics.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"runtime"
@@ -39,6 +43,7 @@ import (
 	"strings"
 	"time"
 
+	"edgeis/internal/edge"
 	"edgeis/internal/loadgen"
 	"edgeis/internal/loadgen/drive"
 )
@@ -51,32 +56,37 @@ type report struct {
 }
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run() error {
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("edgeis-loadgen", flag.ContinueOnError)
 	var (
-		target    = flag.String("target", "sim", "execution target: sim, scheduler or tcp")
-		profile   = flag.String("profile", "", "named profile to run (see -list); empty with -suite runs the committed set")
-		list      = flag.Bool("list", false, "list the named profiles and exit")
-		suite     = flag.Bool("suite", false, "run every profile on the simulator plus tcp-smoke over sockets")
-		check     = flag.Bool("check", false, "run each simulator profile twice and fail unless reports are byte-identical")
-		out       = flag.String("out", "-", "output file (- for stdout)")
-		timescale = flag.Float64("timescale", 1, "wall targets: wall ms per virtual ms of the generation schedule")
-		occupancy = flag.Float64("occupancy", drive.DefaultOccupancy, "wall targets: accelerator hold time as a fraction of nominal inference latency")
-		drain     = flag.Duration("drain", drive.DefaultDrainTimeout, "tcp target: in-flight drain deadline after the horizon")
-		addr      = flag.String("addr", "", "tcp target: external server address (empty starts one in-process)")
-		maxBatch  = flag.Int("max-batch", 0, "override the profile's max frames per accelerator launch (0 = profile value)")
-		batchWin  = flag.Float64("batch-window", -1, "override the profile's gather window in virtual ms (-1 = profile value)")
-		shedPol   = flag.String("shed-policy", "", "override the profile's admission policy: reject or latest-wins (empty = profile value)")
-		keyframe  = flag.Int("keyframe-interval", 0, "override the profile's keyframe interval; N > 1 enables the skip-compute feature cache (0 = profile value)")
-		skip      = flag.Bool("skip-compute", false, "shorthand for -keyframe-interval 4 on profiles that leave it unset")
-		replicas  = flag.Int("replicas", 0, "override the profile's edge replica count; N > 1 shards the edge into a fleet (0 = profile value)")
-		killAt    = flag.String("kill-at", "", "replica failure schedule as replica@ms[,replica@ms...], e.g. 1@7500 (replaces the profile's; needs a sharded profile or -replicas)")
+		target    = fs.String("target", "sim", "execution target: sim, scheduler or tcp")
+		profile   = fs.String("profile", "", "named profile to run (see -list); empty with -suite runs the committed set")
+		list      = fs.Bool("list", false, "list the named profiles and exit")
+		suite     = fs.Bool("suite", false, "run every profile on the simulator plus tcp-smoke over sockets")
+		check     = fs.Bool("check", false, "run each simulator profile twice and fail unless reports are byte-identical")
+		out       = fs.String("out", "-", "output file (- for stdout)")
+		timescale = fs.Float64("timescale", 1, "wall targets: wall ms per virtual ms of the generation schedule")
+		occupancy = fs.Float64("occupancy", drive.DefaultOccupancy, "wall targets: accelerator hold time as a fraction of nominal inference latency")
+		drain     = fs.Duration("drain", drive.DefaultDrainTimeout, "tcp target: in-flight drain deadline after the horizon")
+		addr      = fs.String("addr", "", "tcp target: external server address (empty starts one in-process)")
+		maxBatch  = fs.Int("max-batch", 0, "override the profile's max frames per accelerator launch (0 = profile value)")
+		batchWin  = fs.Float64("batch-window", -1, "override the profile's gather window in virtual ms (-1 = profile value)")
+		shedPol   = fs.String("shed-policy", "", "override the profile's admission policy: reject or latest-wins (empty = profile value)")
+		keyframe  = fs.Int("keyframe-interval", 0, "override the profile's keyframe interval; N > 1 enables the skip-compute feature cache (0 = profile value)")
+		replicas  = fs.Int("replicas", 0, "override the profile's edge replica count; N > 1 shards the edge into a fleet (0 = profile value)")
+		killAt    = fs.String("kill-at", "", "replica failure schedule as replica@ms[,replica@ms...], e.g. 1@7500 (replaces the profile's; needs a sharded profile or -replicas)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return err
+	}
 
 	kills, err := parseKills(*killAt)
 	if err != nil {
@@ -98,8 +108,6 @@ func run() error {
 		}
 		if *keyframe > 0 {
 			p.KeyframeInterval = *keyframe
-		} else if *skip && p.KeyframeInterval == 0 {
-			p.KeyframeInterval = 4
 		}
 		if *replicas > 0 {
 			p.Replicas = *replicas
@@ -120,7 +128,7 @@ func run() error {
 					fleet += fmt.Sprintf(", %d kill(s)", len(p.Kills))
 				}
 			}
-			fmt.Printf("%-20s %5d sessions %2d accel queue %3d  %6.1fs @ %.1f fps  %s%s\n",
+			fmt.Fprintf(stdout, "%-20s %5d sessions %2d accel queue %3d  %6.1fs @ %.1f fps  %s%s\n",
 				p.Name, p.Sessions, p.Accelerators, p.QueueDepth, p.DurationMs/1000, p.FPS, p.Arrival, fleet)
 		}
 		return nil
@@ -177,7 +185,7 @@ func run() error {
 	}
 	buf = append(buf, '\n')
 	if *out == "-" {
-		_, err = os.Stdout.Write(buf)
+		_, err = stdout.Write(buf)
 		return err
 	}
 	return os.WriteFile(*out, buf, 0o644)
@@ -210,8 +218,13 @@ func parseKills(spec string) ([]loadgen.ReplicaKill, error) {
 }
 
 // runOne executes one profile on one target; with check set, simulator runs
-// execute twice and must agree byte for byte.
+// execute twice and must agree byte for byte. The shed policy name is
+// resolved here, before any target runs, so all three refuse an unknown one
+// the same way.
 func runOne(target string, p loadgen.Profile, opts drive.Options, check bool) (*loadgen.SLO, error) {
+	if _, err := edge.AdmissionPolicyByName(p.ShedPolicy); err != nil {
+		return nil, err
+	}
 	var slo *loadgen.SLO
 	var err error
 	switch target {

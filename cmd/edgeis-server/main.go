@@ -102,39 +102,29 @@ func run() error {
 		return fmt.Errorf("unknown device %q", *devName)
 	}
 
+	if *maxBatch <= 1 && *batchWin > 0 {
+		return fmt.Errorf("-batch-window needs -max-batch > 1")
+	}
+	if *keyframe < 1 {
+		return fmt.Errorf("-keyframe-interval must be >= 1")
+	}
+	policies, err := edge.PolicyConfig(*shed, *maxBatch, *batchWin, *keyframe)
+	if err != nil {
+		return err
+	}
 	opts := []transport.ServerOption{
 		transport.WithInferScale(dev.InferScale),
 		transport.WithLogger(log.Printf),
 		transport.WithAccelerators(*accels),
-	}
-	if *queue > 0 {
-		opts = append(opts, transport.WithQueueDepth(*queue))
-	}
-	if *occupancy > 0 {
-		opts = append(opts, transport.WithWallOccupancy(*occupancy))
+		transport.WithQueueDepth(*queue),
+		transport.WithWallOccupancy(*occupancy),
+		transport.WithAdmissionPolicy(policies.Admission),
+		transport.WithDequeuePolicy(policies.Dequeue),
+		transport.WithKeyframePolicy(policies.Keyframe),
+		transport.WithFleetPeers(peers),
 	}
 	if *cont {
 		opts = append(opts, transport.WithGuidanceContinuity())
-	}
-	if *shed != "reject" {
-		admission, err := edge.AdmissionPolicyByName(*shed)
-		if err != nil {
-			return err
-		}
-		opts = append(opts, transport.WithAdmissionPolicy(admission))
-	}
-	if *maxBatch > 1 {
-		opts = append(opts, transport.WithDequeuePolicy(edge.GatherBatch{Max: *maxBatch, GatherWindow: *batchWin}))
-	} else if *batchWin > 0 {
-		return fmt.Errorf("-batch-window needs -max-batch > 1")
-	}
-	if *keyframe > 1 {
-		opts = append(opts, transport.WithKeyframePolicy(segmodel.KeyframePolicy{Interval: *keyframe}))
-	} else if *keyframe < 1 {
-		return fmt.Errorf("-keyframe-interval must be >= 1")
-	}
-	if len(peers) > 0 {
-		opts = append(opts, transport.WithFleetPeers(peers))
 	}
 	srv := transport.NewServer(segmodel.New(kind), opts...)
 	bound, err := srv.Listen(*addr)

@@ -12,8 +12,9 @@ import (
 // accelerator launches) used to be inlined in the scheduler; they are now
 // first-class values so serving disciplines can be swapped without touching
 // the queue mechanics. The mechanics themselves — bounded queue, fair
-// rotate-ring order across sessions, explicit accounting of every outcome —
-// are invariant: policies decide, the scheduler executes.
+// rotate-ring order across sessions (FairQueue, queue.go), explicit
+// accounting of every outcome — are invariant: policies decide, the queue
+// and the scheduler execute.
 
 // AdmissionVerdict is an AdmissionPolicy's decision for one arriving
 // request.
@@ -31,10 +32,11 @@ const (
 	VerdictShedOldest
 )
 
-// AdmissionPolicy decides the fate of each request at admission time. The
-// scheduler calls Admit under its lock with the instantaneous queue
-// occupancy and the arriving session's own queued-but-undequeued count;
-// implementations must be pure decision functions (no blocking, no state).
+// AdmissionPolicy decides the fate of each request at admission time.
+// FairQueue.Admit calls it (under the scheduler's lock, or in the
+// simulator's virtual time) with the instantaneous queue occupancy and the
+// arriving session's own queued-but-undequeued count; implementations must
+// be pure decision functions (no blocking, no state).
 type AdmissionPolicy interface {
 	// Name identifies the policy in stats and flags ("reject",
 	// "latest-wins").
@@ -96,8 +98,24 @@ func AdmissionPolicyByName(name string) (AdmissionPolicy, error) {
 	}
 }
 
+// PolicyConfig resolves the spelling edgeis-server's flags and the loadgen
+// profiles share — shed policy name, max batch, gather window, keyframe
+// interval — into the policy fields of a Config. maxBatch <= 1 keeps
+// SingleDequeue; keyframeInterval <= 1 leaves skip-compute off.
+func PolicyConfig(shedPolicy string, maxBatch int, window time.Duration, keyframeInterval int) (Config, error) {
+	admission, err := AdmissionPolicyByName(shedPolicy)
+	if err != nil {
+		return Config{}, err
+	}
+	cfg := Config{Admission: admission, Keyframe: segmodel.KeyframePolicy{Interval: keyframeInterval}}
+	if maxBatch > 1 {
+		cfg.Dequeue = GatherBatch{Max: maxBatch, GatherWindow: window}
+	}
+	return cfg, nil
+}
+
 // DequeuePolicy shapes how workers turn queued requests into accelerator
-// launches. The scheduler owns the fair rotate-ring mechanics; the policy
+// launches. FairQueue owns the fair rotate-ring mechanics; the policy
 // decides how large a launch may grow and how long a worker may hold an
 // underfull batch open waiting for compatible work.
 type DequeuePolicy interface {

@@ -60,17 +60,21 @@ type job struct {
 	done     chan jobResult
 }
 
+// BatchClass is the job's compatibility key for FairQueue.Gather.
+func (j *job) BatchClass() BatchClass { return j.class }
+
 type jobResult struct {
 	out     *segmodel.Result
 	inferMs float64
 	err     error
 }
 
-// Scheduler owns the accelerator pool and the bounded admission queue.
-// Dequeueing is fair per session: workers round-robin across sessions that
-// have pending work and take one request at a time (or, under GatherBatch,
-// one request per session per gather pass), so one client flooding the
-// queue cannot starve the others.
+// Scheduler owns the accelerator pool and the bounded admission queue: a
+// FairQueue under a mutex, plus goroutines and the wall clock. Dequeueing is
+// fair per session: workers round-robin across sessions that have pending
+// work and take one request at a time (or, under GatherBatch, one request
+// per session per gather pass), so one client flooding the queue cannot
+// starve the others.
 type Scheduler struct {
 	workers    int
 	depth      int
@@ -81,17 +85,9 @@ type Scheduler struct {
 	dequeue    string
 	keyframe   segmodel.KeyframePolicy
 
-	mu   sync.Mutex
-	cond *sync.Cond
-	// ring holds the sessions with pending requests in round-robin order.
-	// Dequeueing rotates it: the front session gives up one request and, if
-	// it still has pending work, re-joins at the back. Rotation (rather
-	// than an index walk with removals) is what makes the round-robin
-	// starvation-free: a session with a backlog is served exactly once per
-	// pass over the waiting sessions, and a churn of fresh single-request
-	// sessions joining at the back can never lap it.
-	ring     []*Session
-	queued   int
+	mu       sync.Mutex
+	cond     *sync.Cond
+	queue    FairQueue[*job, BatchClass]
 	inflight int
 	closed   bool
 
@@ -203,21 +199,7 @@ func NewScheduler(cfg Config) *Scheduler {
 // NewSession registers a client. Sessions created after Close still work as
 // handles, but every Infer through them fails with ErrClosed.
 func (s *Scheduler) NewSession(remote string) *Session {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.nextID++
-	sess := &Session{
-		sched:      s,
-		id:         s.nextID,
-		remote:     remote,
-		started:    time.Now(),
-		continuity: s.continuity,
-	}
-	s.sessions[sess] = struct{}{}
-	if len(s.sessions) > s.peakSess {
-		s.peakSess = len(s.sessions)
-	}
-	return sess
+	return s.addSession("", remote, false)
 }
 
 // ResumeSession adopts a session migrating in from another replica: the
@@ -230,10 +212,16 @@ func (s *Scheduler) NewSession(remote string) *Session {
 // pyramid that was never computed also covers a pyramid that is simply on
 // the wrong machine.
 func (s *Scheduler) ResumeSession(key, remote string) *Session {
+	return s.addSession(key, remote, true)
+}
+
+func (s *Scheduler) addSession(key, remote string, resumed bool) *Session {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.nextID++
-	s.resumed++
+	if resumed {
+		s.resumed++
+	}
 	sess := &Session{
 		sched:      s,
 		id:         s.nextID,
@@ -241,6 +229,7 @@ func (s *Scheduler) ResumeSession(key, remote string) *Session {
 		key:        key,
 		started:    time.Now(),
 		continuity: s.continuity,
+		keyframes:  segmodel.KeyframeStream{Policy: s.keyframe},
 	}
 	s.sessions[sess] = struct{}{}
 	if len(s.sessions) > s.peakSess {
@@ -271,7 +260,7 @@ func (s *Scheduler) QueueSnapshot() QueueSnapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return QueueSnapshot{
-		Queued:   s.queued,
+		Queued:   s.queue.Len(),
 		InFlight: s.inflight,
 		Depth:    s.depth,
 		Sessions: len(s.sessions),
@@ -302,132 +291,58 @@ func (s *Scheduler) countWarped(n int)    { s.warped += n }
 // session's only cross-frame state transition and admissions are the
 // arrival order of the session's frames. It happens before the scheduler
 // lock is taken (the decision reads the session's cache under sess.mu,
-// which is never held together with s.mu); if the decided request then
-// fails to reach an accelerator, the cache is conservatively invalidated
-// below so no later frame warps from a pyramid that was never computed.
+// which is never held together with s.mu); if a decided request then fails
+// to reach an accelerator, the session's stream is told below so no later
+// frame warps from a pyramid that was never computed.
 func (s *Scheduler) infer(sess *Session, in segmodel.Input, g segmodel.Guidance) (*segmodel.Result, float64, error) {
-	d := sess.decide(s.keyframe, in, g)
+	d := sess.decide(in, g)
 	j := &job{sess: sess, in: in, g: g, class: ClassOf(in, g, d.Keyframe), decision: d,
 		enqueued: time.Now(), done: make(chan jobResult, 1)}
 	s.mu.Lock()
 	if s.closed || sess.closed {
 		s.mu.Unlock()
-		sess.dropCacheFor(d)
+		sess.lost(d)
 		return nil, 0, ErrClosed
 	}
-	// A session is in the ring iff it has pending work; capture that before
-	// the verdict, because a shed can empty pending momentarily without the
-	// session ever leaving the ring.
-	inRing := len(sess.pending) > 0
-	switch s.admission.Admit(s.queued, s.depth, len(sess.pending)) {
+	verdict, stale := s.queue.Admit(s.admission, s.depth, &sess.lane, j)
+	switch verdict {
 	case VerdictReject:
 		s.countRejected()
 		s.mu.Unlock()
 		sess.noteRejected()
-		sess.dropCacheFor(d)
+		sess.lost(d)
 		return nil, 0, ErrQueueFull
 	case VerdictShedOldest:
-		if len(sess.pending) > 0 {
-			// Displace the session's own oldest queued frame: its waiter
-			// learns it was shed, the fresh frame takes the slot. The
-			// session stays in the ring — its pending list never empties
-			// here because the fresh job is appended below.
-			stale := sess.pending[0]
-			sess.pending = sess.pending[1:]
-			s.queued--
-			s.countShed()
-			//edgeis:lockheld done is buffered (cap 1) and this is its only send, so it cannot block
-			stale.done <- jobResult{err: ErrShed}
-			defer sess.noteShed()
-			// A shed keyframe never reaches an accelerator, so the cached
-			// pyramid any later non-keyframe would warp from does not
-			// exist; invalidate once the lock is dropped.
-			if stale.decision.Keyframe {
-				defer sess.dropCacheFor(stale.decision)
-			}
-		} else {
-			// A policy may only shed the arriving session's own work;
-			// with none queued the verdict degrades to a reject.
-			s.countRejected()
-			s.mu.Unlock()
-			sess.noteRejected()
-			sess.dropCacheFor(d)
-			return nil, 0, ErrQueueFull
-		}
+		// The session's own oldest queued frame was displaced: its waiter
+		// learns it was shed, the fresh frame took the slot.
+		s.countShed()
+		//edgeis:lockheld done is buffered (cap 1) and this is its only send, so it cannot block
+		stale.done <- jobResult{err: ErrShed}
 	}
-	if !inRing {
-		s.ring = append(s.ring, sess)
-	}
-	sess.pending = append(sess.pending, j)
-	s.queued++
-	s.depths.Add(float64(s.queued))
+	s.depths.Add(float64(s.queue.Len()))
 	s.cond.Signal()
 	s.mu.Unlock()
+	if stale != nil {
+		sess.noteShed()
+		sess.lost(stale.decision)
+	}
 
 	r := <-j.done
 	return r.out, r.inferMs, r.err
 }
 
-// takeHead pops the front session's oldest request under the rotation
-// discipline; the caller holds the lock and has checked the ring is
-// non-empty. The popped job counts as in flight from this moment.
-func (s *Scheduler) takeHead() *job {
-	sess := s.ring[0]
-	s.ring = s.ring[1:]
-	j := sess.pending[0]
-	sess.pending = sess.pending[1:]
-	s.queued--
-	if len(sess.pending) > 0 {
-		// One request per turn: the session rotates to the back of
-		// the ring behind every other waiting session.
-		s.ring = append(s.ring, sess)
-	}
-	s.inflight++
-	return j
-}
-
-// gather extends batch with queued jobs of the same class, scanning the
-// ring in order and taking at most one job per session per call so the
-// batch former cannot out-run round-robin fairness. The caller holds the
-// lock.
-func (s *Scheduler) gather(batch []*job, class BatchClass) []*job {
-	i := 0
-	for len(batch) < s.maxBatch && i < len(s.ring) {
-		sess := s.ring[i]
-		if sess.pending[0].class != class {
-			i++
-			continue
-		}
-		j := sess.pending[0]
-		sess.pending = sess.pending[1:]
-		s.queued--
-		s.inflight++
-		batch = append(batch, j)
-		if len(sess.pending) > 0 {
-			// The session keeps its ring position but contributed its one
-			// job for this pass; move past it.
-			i++
-		} else {
-			s.ring = append(s.ring[:i], s.ring[i+1:]...)
-		}
-	}
-	return batch
-}
-
 // nextBatch blocks until at least one request is available (fair
 // round-robin across sessions) or the scheduler is closed and drained; nil
 // means exit. Under GatherBatch it extends the head job with compatible
-// queued work, holding an underfull batch open for the gather window.
+// queued work, holding an underfull batch open for the gather window. Jobs
+// count as in flight from the moment they leave the queue.
 func (s *Scheduler) nextBatch() []*job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
-		if len(s.ring) > 0 {
-			head := s.takeHead()
-			if s.maxBatch <= 1 {
-				return []*job{head}
-			}
-			batch := s.gather([]*job{head}, head.class)
+		if s.queue.Len() > 0 {
+			batch := s.queue.Gather([]*job{s.queue.TakeHead()}, s.maxBatch)
+			s.inflight += len(batch)
 			if len(batch) < s.maxBatch && s.window > 0 && !s.closed {
 				// Gather window: hold the underfull batch open so jobs
 				// arriving within the window can ride the same launch. The
@@ -438,7 +353,9 @@ func (s *Scheduler) nextBatch() []*job {
 				s.mu.Unlock()
 				time.Sleep(s.window)
 				s.mu.Lock()
-				batch = s.gather(batch, head.class)
+				held := len(batch)
+				batch = s.queue.Gather(batch, s.maxBatch)
+				s.inflight += len(batch) - held
 			}
 			return batch
 		}
@@ -553,24 +470,13 @@ func (s *Scheduler) closeSession(sess *Session) {
 	}
 	sess.closed = true
 	delete(s.sessions, sess)
-	if len(sess.pending) == 0 {
-		return
-	}
 	// Fail queued-but-unstarted requests so their waiters unblock; any
 	// already taken onto a worker (alone or in a gathering batch) complete
 	// normally.
-	for _, j := range sess.pending {
-		s.queued--
+	for _, j := range s.queue.DropLane(&sess.lane) {
 		s.countCancelled()
 		//edgeis:lockheld done is buffered (cap 1) and this is its only send, so it cannot block
 		j.done <- jobResult{err: ErrClosed}
-	}
-	sess.pending = nil
-	for i, rs := range s.ring {
-		if rs == sess {
-			s.ring = append(s.ring[:i], s.ring[i+1:]...)
-			break
-		}
 	}
 }
 
@@ -583,7 +489,7 @@ func (s *Scheduler) Stats() Stats {
 		QueueDepth:      s.depth,
 		AdmissionPolicy: s.admission.Name(),
 		DequeuePolicy:   s.dequeue,
-		Queued:          s.queued,
+		Queued:          s.queue.Len(),
 		InFlight:        s.inflight,
 		Served:          s.served,
 		Rejected:        s.rejected,

@@ -23,10 +23,10 @@ type Session struct {
 	// though each replica assigns its own local ID.
 	key string
 
-	// pending and closed are guarded by the scheduler's mutex: they are part
+	// lane and closed are guarded by the scheduler's mutex: they are part
 	// of the admission queue, not of the session's private counters.
-	pending []*job
-	closed  bool
+	lane   Lane[*job]
+	closed bool
 
 	// continuity enables CIIA guidance reuse for guidance-less frames.
 	continuity bool
@@ -44,13 +44,9 @@ type Session struct {
 	// plan is the last non-nil CIIA guidance the client sent — the
 	// per-client context that stays alive across requests.
 	plan segmodel.Guidance
-	// cache is the session's skip-compute feature cache: the metadata of
-	// the last keyframe's backbone pyramid. It is created lazily on the
-	// first keyframe decision under an enabled policy, invalidated when a
-	// decided keyframe fails to reach an accelerator or guidance
-	// continuity breaks (the decision function handles the latter), and
-	// evicted when the session closes. Nil whenever skip-compute is off.
-	cache *segmodel.FeatureCache
+	// keyframes is the session's skip-compute state (policy plus the
+	// feature cache of its last keyframe), evicted when the session closes.
+	keyframes segmodel.KeyframeStream
 }
 
 // SessionStats is a point-in-time snapshot of one session.
@@ -120,7 +116,7 @@ func (sess *Session) Infer(in segmodel.Input, g segmodel.Guidance) (*segmodel.Re
 // Stats snapshots the session.
 func (sess *Session) Stats() SessionStats {
 	sess.sched.mu.Lock()
-	pending := len(sess.pending)
+	pending := sess.lane.Len()
 	sess.sched.mu.Unlock()
 
 	sess.mu.Lock()
@@ -151,38 +147,26 @@ func (sess *Session) Stats() SessionStats {
 func (sess *Session) Close() {
 	sess.sched.closeSession(sess)
 	sess.mu.Lock()
-	sess.cache = nil
+	sess.keyframes.Reset()
 	sess.mu.Unlock()
 }
 
-// decide classifies one request as keyframe or non-keyframe against the
-// session's feature cache, creating the cache on first use. It advances
-// the cache's cross-frame state, so the scheduler calls it exactly once
-// per request, in admission order. Must not be called with the scheduler's
-// mutex held (it takes sess.mu).
-func (sess *Session) decide(p segmodel.KeyframePolicy, in segmodel.Input, g segmodel.Guidance) segmodel.KeyframeDecision {
-	if !p.Enabled() {
-		return segmodel.KeyframeDecision{Keyframe: true, Reason: segmodel.KeyDisabled}
-	}
+// decide classifies one request against the session's keyframe stream. It
+// is the stream's only cross-frame state transition, so the scheduler calls
+// it exactly once per request, in admission order. Must not be called with
+// the scheduler's mutex held (it takes sess.mu).
+func (sess *Session) decide(in segmodel.Input, g segmodel.Guidance) segmodel.KeyframeDecision {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
-	if sess.cache == nil {
-		sess.cache = segmodel.NewFeatureCache()
-	}
-	return p.Decide(sess.cache, in, g)
+	return sess.keyframes.Decide(in, g)
 }
 
-// dropCacheFor invalidates the feature cache after the request carrying
-// the given decision failed to reach an accelerator. Only a lost keyframe
-// matters: its pyramid was never computed, so later frames must not warp
-// from it. A lost non-keyframe leaves the cached keyframe intact. Must not
-// be called with the scheduler's mutex held.
-func (sess *Session) dropCacheFor(d segmodel.KeyframeDecision) {
-	if !d.Keyframe || d.Reason == segmodel.KeyDisabled {
-		return
-	}
+// lost tells the keyframe stream that the request carrying decision d
+// failed to reach an accelerator. Must not be called with the scheduler's
+// mutex held.
+func (sess *Session) lost(d segmodel.KeyframeDecision) {
 	sess.mu.Lock()
-	sess.cache.Invalidate()
+	sess.keyframes.Lost(d)
 	sess.mu.Unlock()
 }
 

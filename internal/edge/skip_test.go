@@ -198,30 +198,29 @@ func TestLostKeyframeInvalidatesCache(t *testing.T) {
 	defer func() { _ = s.Close() }()
 	sess := s.NewSession("c")
 	defer sess.Close()
-	p := segmodel.KeyframePolicy{Interval: 8}
 
 	in := segmodel.Input{Width: 640, Height: 480}
-	d := sess.decide(p, in, nil)
+	d := sess.decide(in, nil)
 	if !d.Keyframe || d.Reason != segmodel.KeyCold {
 		t.Fatalf("first decision %+v, want cold keyframe", d)
 	}
 	// Next frame would warp...
-	if d2 := sess.decide(p, in, nil); d2.Keyframe {
+	if d2 := sess.decide(in, nil); d2.Keyframe {
 		t.Fatalf("warm cache produced keyframe %q", d2.Reason)
 	}
 	// ...but if a keyframe decision is lost, the cache must go cold again.
-	d3 := sess.decide(p, segmodel.Input{Width: 320, Height: 240}, nil) // resolution keyframe
-	sess.dropCacheFor(d3)
-	if d4 := sess.decide(p, segmodel.Input{Width: 320, Height: 240}, nil); !d4.Keyframe || d4.Reason != segmodel.KeyCold {
+	d3 := sess.decide(segmodel.Input{Width: 320, Height: 240}, nil) // resolution keyframe
+	sess.lost(d3)
+	if d4 := sess.decide(segmodel.Input{Width: 320, Height: 240}, nil); !d4.Keyframe || d4.Reason != segmodel.KeyCold {
 		t.Fatalf("after lost keyframe: %+v, want cold keyframe", d4)
 	}
 	// A lost non-keyframe leaves the cached pyramid usable.
-	d5 := sess.decide(p, segmodel.Input{Width: 320, Height: 240}, nil)
+	d5 := sess.decide(segmodel.Input{Width: 320, Height: 240}, nil)
 	if d5.Keyframe {
 		t.Fatalf("unexpected keyframe %q", d5.Reason)
 	}
-	sess.dropCacheFor(d5)
-	if d6 := sess.decide(p, segmodel.Input{Width: 320, Height: 240}, nil); d6.Keyframe {
+	sess.lost(d5)
+	if d6 := sess.decide(segmodel.Input{Width: 320, Height: 240}, nil); d6.Keyframe {
 		t.Fatalf("lost non-keyframe invalidated the cache: %+v", d6)
 	}
 }
@@ -239,14 +238,14 @@ func TestSessionCloseEvictsCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	sess.mu.Lock()
-	hadCache := sess.cache != nil
+	hadCache := sess.keyframes.Valid()
 	sess.mu.Unlock()
 	if !hadCache {
 		t.Fatal("enabled policy should have created the session cache")
 	}
 	sess.Close()
 	sess.mu.Lock()
-	gone := sess.cache == nil
+	gone := !sess.keyframes.Valid()
 	sess.mu.Unlock()
 	if !gone {
 		t.Fatal("Close did not evict the feature cache")

@@ -1,19 +1,18 @@
 // Package drive replays loadgen profiles against the real serving stack on
-// the wall clock: RunScheduler paces the fleet into an in-process
-// edge.Scheduler, RunTCP pushes the same frames through transport.Client
-// sockets into a transport.Server. Both replay the exact generation schedule
-// of the virtual-time simulator (Profile.SessionArrivals), honour the
-// profile's admission and dequeue policies (latest-wins shedding, the
-// gather-window batch former), classify every offered frame into served /
-// rejected / shed / dropped, and reconcile their own accounting against the
-// serving layer's counters — the wall-clock half of the no-silent-loss law.
-// Latency figures here include host scheduling jitter; the deterministic
-// numbers live in the simulator (loadgen.Run).
+// the wall clock: RunScheduler paces the sessions into one in-process
+// edge.Scheduler per replica, RunTCP pushes the same frames through
+// fleet.FleetClient sockets into one transport.Server per replica. An
+// unsharded profile is a fleet of one — there is no second code path. Both
+// replay the exact generation schedule of the virtual-time simulator
+// (Profile.SessionArrivals), honour the profile's policies and replica kill
+// schedule, classify every offered frame into served / rejected / shed /
+// dropped / migrated, and reconcile their own accounting against the summed
+// per-replica scheduler counters — the wall-clock half of the no-silent-loss
+// law. Latency figures here include host scheduling jitter; the
+// deterministic numbers live in the simulator (loadgen.Run).
 package drive
 
 import (
-	"errors"
-	"fmt"
 	"math"
 	"sync"
 	"time"
@@ -21,9 +20,7 @@ import (
 	"edgeis/internal/edge"
 	"edgeis/internal/loadgen"
 	"edgeis/internal/metrics"
-	"edgeis/internal/netsim"
 	"edgeis/internal/segmodel"
-	"edgeis/internal/transport"
 )
 
 // Options tunes a wall-clock run.
@@ -42,9 +39,10 @@ type Options struct {
 	// generation horizon (TCP target); offloads still unresolved at the
 	// deadline are counted dropped. 0 means DefaultDrainTimeout.
 	DrainTimeout time.Duration
-	// Addr points the TCP target at an already-running server ("host:port").
-	// Empty starts an in-process transport.Server on a loopback socket; only
-	// then can the run reconcile against server-side counters.
+	// Addr points the TCP target at an already-running server ("host:port"):
+	// a one-address fleet with no in-process servers, so no replica kills
+	// and no reconciliation against server-side counters. Empty starts one
+	// in-process transport.Server per replica on loopback sockets.
 	Addr string
 }
 
@@ -71,8 +69,7 @@ func (o Options) withDefaults() Options {
 type agg struct {
 	mu                                       sync.Mutex
 	offered, served, rejected, shed, dropped int
-	// migrated counts frames lost in flight to a replica kill under a
-	// sharded profile; zero on the single-edge targets.
+	// migrated counts frames lost in flight to a replica kill.
 	migrated int
 	servedBy []int
 	lat      metrics.Dist
@@ -216,320 +213,15 @@ func (a *clipAccelerator) RunWarpedBatch(ins []segmodel.Input, gs []segmodel.Gui
 	return make([]*segmodel.Result, len(ins)), launchMs
 }
 
-// policies resolves the profile's admission and dequeue policies onto edge
-// types; the gather window stretches with the run's TimeScale just like the
-// generation schedule does.
-func policies(p loadgen.Profile, o Options) (edge.AdmissionPolicy, edge.DequeuePolicy, error) {
-	admission, err := edge.AdmissionPolicyByName(p.ShedPolicy)
-	if err != nil {
-		return nil, nil, err
-	}
-	var dequeue edge.DequeuePolicy
-	if p.MaxBatch > 1 {
-		dequeue = edge.GatherBatch{
-			Max:          p.MaxBatch,
-			GatherWindow: time.Duration(p.BatchWindowMs * o.TimeScale * float64(time.Millisecond)),
-		}
-	}
-	return admission, dequeue, nil
-}
-
-// RunScheduler replays the profile against a real edge.Scheduler in
-// process: one goroutine per session paces the generation schedule, sheds at
-// the outstanding cap, models the uplink with netsim pacing and classifies
-// every Infer outcome. The returned SLO's accounting is reconciled against
-// the scheduler's own counters; any mismatch is an error.
-func RunScheduler(p loadgen.Profile, opts Options) (*loadgen.SLO, error) {
-	p = p.Normalized()
-	o := opts.withDefaults()
-	if p.Sharded() {
-		return runSchedulerFleet(p, o)
-	}
-	admission, dequeue, err := policies(p, o)
-	if err != nil {
-		return nil, err
-	}
-	sched := edge.NewScheduler(edge.Config{
-		Workers:    p.Accelerators,
-		QueueDepth: p.QueueDepth,
-		Admission:  admission,
-		Dequeue:    dequeue,
-		Keyframe:   p.KeyframePolicy(),
-		NewAccelerator: func(int) edge.Accelerator {
-			return &clipAccelerator{p: p, scale: o.TimeScale, frac: o.Occupancy}
-		},
-	})
-
-	a := &agg{servedBy: make([]int, p.Sessions)}
-	start := time.Now()
-	var fleet sync.WaitGroup
-	for i := 0; i < p.Sessions; i++ {
-		fleet.Add(1)
-		go func(i int) {
-			defer fleet.Done()
-			sess := sched.NewSession(fmt.Sprintf("loadgen-%04d", i))
-			defer sess.Close()
-			clip := p.ClipFor(i)
-			up := netsim.NewLink(p.LinkFor(i).NetProfile(), p.Seed+int64(i)*2+1)
-			var outstanding, dropped, offered int
-			var reqs sync.WaitGroup
-			var mu sync.Mutex // outstanding, decremented from request goroutines
-			for _, genAt := range p.SessionArrivals(i) {
-				sleepUntil(start, genAt, o.TimeScale)
-				offered++
-				mu.Lock()
-				atCap := outstanding >= p.MaxOutstanding
-				if !atCap {
-					outstanding++
-				}
-				mu.Unlock()
-				if atCap {
-					dropped++
-					continue
-				}
-				upMs := up.TransferMs(genAt, clip.PayloadBytes)
-				reqs.Add(1)
-				go func(genAt, upMs float64) {
-					defer reqs.Done()
-					sleepUntil(start, genAt+upMs, o.TimeScale)
-					// Each clip class gets its own input width so the batch
-					// former's shape-compatibility key (edge.BatchClass)
-					// separates clips here exactly as it would separate real
-					// resolutions.
-					in := segmodel.Input{Width: 64 + 16*(i%len(p.Clips)), Height: 48, Seed: int64(i)}
-					_, _, err := sess.Infer(in, nil)
-					doneMs := msSince(start)
-					switch {
-					case err == nil:
-						a.noteServed(i, doneMs-genAt*o.TimeScale)
-					case errors.Is(err, edge.ErrQueueFull):
-						a.noteRejected()
-					case errors.Is(err, edge.ErrShed):
-						a.noteShed()
-					default:
-						a.noteDropped() // teardown cancellation
-					}
-					mu.Lock()
-					outstanding--
-					mu.Unlock()
-				}(genAt, upMs)
-			}
-			reqs.Wait()
-			a.absorb(offered, 0, 0, dropped)
-		}(i)
-	}
-	fleet.Wait()
-	horizon := msSince(start)
-	st := sched.Stats()
-	if err := sched.Close(); err != nil {
-		return nil, err
-	}
-
-	if st.Served != a.served || st.Rejected != a.rejected || st.Shed != a.shed || st.Cancelled != 0 {
-		return nil, fmt.Errorf("drive scheduler: accounting mismatch: driver served/rejected/shed %d/%d/%d, scheduler served/rejected/shed/cancelled %d/%d/%d/%d",
-			a.served, a.rejected, a.shed, st.Served, st.Rejected, st.Shed, st.Cancelled)
-	}
-	// Skip-compute partition law, reconciled against the scheduler's own
-	// counters: with the feature cache on, every served frame is exactly one
-	// of keyframe or warped.
-	if p.SkipCompute() && st.KeyframesServed+st.WarpedServed != st.Served {
-		return nil, fmt.Errorf("drive scheduler: keyframe partition violated: keyframes %d + warped %d != served %d",
-			st.KeyframesServed, st.WarpedServed, st.Served)
-	}
-	slo := newSLO(p, "scheduler", a, horizon)
-	slo.WaitMeanMs = round3(st.MeanWaitMs)
-	slo.WaitP95Ms = round3(st.P95WaitMs)
-	slo.WaitMaxMs = round3(st.MaxWaitMs)
-	slo.QueueMeanDepth = round3(st.MeanQueueDepth)
-	slo.QueuePeakDepth = st.PeakQueueDepth
-	slo.Batches = st.Batches
-	slo.MeanBatchSize = round3(st.MeanBatchSize)
-	slo.KeyframesServed = st.KeyframesServed
-	slo.WarpedServed = st.WarpedServed
-	slo.KeyframeRate = keyframeRate(st.KeyframesServed, st.WarpedServed)
-	return slo, nil
-}
-
-// RunTCP replays the profile over real sockets: one transport.Client per
-// session against a transport.Server (in-process on loopback unless
-// Options.Addr points elsewhere). Accounting is client-side — results and
-// admission rejects come back over the wire — and offloads still unresolved
-// DrainTimeout after the horizon are counted dropped, so the conservation
-// law holds even across a teardown.
-func RunTCP(p loadgen.Profile, opts Options) (*loadgen.SLO, error) {
-	p = p.Normalized()
-	o := opts.withDefaults()
-	if p.Sharded() {
-		return runTCPFleet(p, o)
-	}
-
-	admission, dequeue, err := policies(p, o)
-	if err != nil {
-		return nil, err
-	}
-	addr := o.Addr
-	var srv *transport.Server
-	if addr == "" {
-		srvOpts := []transport.ServerOption{
-			transport.WithAccelerators(p.Accelerators),
-			transport.WithQueueDepth(p.QueueDepth),
-			transport.WithWallOccupancy(o.Occupancy * o.TimeScale),
-			transport.WithAdmissionPolicy(admission),
-		}
-		if dequeue != nil {
-			srvOpts = append(srvOpts, transport.WithDequeuePolicy(dequeue))
-		}
-		if p.SkipCompute() {
-			srvOpts = append(srvOpts, transport.WithKeyframePolicy(p.KeyframePolicy()))
-		}
-		srv = transport.NewServer(segmodel.New(segmodel.YOLOv3), srvOpts...)
-		bound, err := srv.Listen("127.0.0.1:0")
-		if err != nil {
-			return nil, err
-		}
-		defer srv.Close()
-		addr = bound.String()
-	}
-
-	a := &agg{servedBy: make([]int, p.Sessions)}
-	start := time.Now()
-	var fleet sync.WaitGroup
-	dialErrs := make([]error, p.Sessions)
-	for i := 0; i < p.Sessions; i++ {
-		fleet.Add(1)
-		go func(i int) {
-			defer fleet.Done()
-			c, err := transport.DialRetry(addr, 2*time.Second, 5, 50*time.Millisecond)
-			if err != nil {
-				dialErrs[i] = err
-				return
-			}
-			defer c.Close()
-			clip := p.ClipFor(i)
-
-			// sendAt maps in-flight frame indexes to their send time for the
-			// latency sample; the reader goroutine resolves them.
-			var mu sync.Mutex
-			sendAt := make(map[int32]float64)
-			served := 0
-			var readers sync.WaitGroup
-			readers.Add(1)
-			go func() {
-				defer readers.Done()
-				for res := range c.Results() {
-					mu.Lock()
-					at, ok := sendAt[res.FrameIndex]
-					if ok {
-						delete(sendAt, res.FrameIndex)
-						served++
-					}
-					mu.Unlock()
-					// The fleet mutator takes a.mu itself, so it runs
-					// outside this session's map lock.
-					if ok {
-						a.noteServed(i, msSince(start)-at)
-					}
-				}
-			}()
-
-			sent, dropped, offered := 0, 0, 0
-			for k, genAt := range p.SessionArrivals(i) {
-				sleepUntil(start, genAt, o.TimeScale)
-				offered++
-				// Outstanding = accepted sends not yet resolved by a result,
-				// a wire-level reject or a shed notice; at the cap the
-				// client sheds.
-				mu.Lock()
-				outstanding := sent - served - c.Rejected() - c.Shed()
-				mu.Unlock()
-				if outstanding >= p.MaxOutstanding {
-					dropped++
-					continue
-				}
-				idx := int32(k)
-				mu.Lock()
-				sendAt[idx] = msSince(start)
-				mu.Unlock()
-				// Per-clip width, mirroring the scheduler target: the batch
-				// former only co-batches frames of one shape class.
-				ok := c.Send(&transport.FrameMsg{
-					FrameIndex:   idx,
-					Width:        int32(64 + 16*(i%len(p.Clips))),
-					Height:       48,
-					Seed:         int64(i)*1_000_003 + int64(k),
-					PaddingBytes: int32(clip.PayloadBytes),
-				})
-				if !ok {
-					// Client-side send queue full: shed like a real mobile.
-					mu.Lock()
-					delete(sendAt, idx)
-					mu.Unlock()
-					dropped++
-					continue
-				}
-				sent++
-			}
-
-			// Drain: every accepted send must resolve into a result, a
-			// reject or a shed; stragglers past the deadline are counted
-			// dropped.
-			deadline := time.Now().Add(o.DrainTimeout)
-			for time.Now().Before(deadline) {
-				mu.Lock()
-				resolved := served + c.Rejected() + c.Shed()
-				mu.Unlock()
-				if resolved >= sent {
-					break
-				}
-				time.Sleep(2 * time.Millisecond)
-			}
-			c.Close()
-			readers.Wait()
-
-			mu.Lock()
-			rejected, shed := c.Rejected(), c.Shed()
-			lost := sent - served - rejected - shed
-			mu.Unlock()
-			if lost < 0 {
-				lost = 0
-			}
-			a.absorb(offered, rejected, shed, dropped+lost)
-		}(i)
-	}
-	fleet.Wait()
-	horizon := msSince(start)
-	for _, err := range dialErrs {
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	slo := newSLO(p, "tcp", a, horizon)
-	if srv != nil {
-		st := srv.Scheduler().Stats()
-		slo.WaitMeanMs = round3(st.MeanWaitMs)
-		slo.WaitP95Ms = round3(st.P95WaitMs)
-		slo.WaitMaxMs = round3(st.MaxWaitMs)
-		slo.QueueMeanDepth = round3(st.MeanQueueDepth)
-		slo.QueuePeakDepth = st.PeakQueueDepth
-		slo.Batches = st.Batches
-		slo.MeanBatchSize = round3(st.MeanBatchSize)
-		slo.KeyframesServed = st.KeyframesServed
-		slo.WarpedServed = st.WarpedServed
-		slo.KeyframeRate = keyframeRate(st.KeyframesServed, st.WarpedServed)
-		// The server must not have resolved more frames than the clients
-		// saw plus what teardown abandoned; anything else is silent loss.
-		if st.Served+st.Rejected+st.Shed+st.Cancelled < a.served+a.rejected+a.shed {
-			return nil, fmt.Errorf("drive tcp: accounting mismatch: clients saw served/rejected/shed %d/%d/%d, server served/rejected/shed/cancelled %d/%d/%d/%d",
-				a.served, a.rejected, a.shed, st.Served, st.Rejected, st.Shed, st.Cancelled)
-		}
-		// Server-side partition law under an enabled feature cache.
-		if p.SkipCompute() && st.KeyframesServed+st.WarpedServed != st.Served {
-			return nil, fmt.Errorf("drive tcp: keyframe partition violated: keyframes %d + warped %d != served %d",
-				st.KeyframesServed, st.WarpedServed, st.Served)
-		}
-	}
-	return slo, nil
+// edgeConfig resolves the profile's policies onto a scheduler
+// configuration; the gather window stretches with the run's TimeScale just
+// like the generation schedule does.
+func edgeConfig(p loadgen.Profile, o Options) (edge.Config, error) {
+	window := time.Duration(p.BatchWindowMs * o.TimeScale * float64(time.Millisecond))
+	cfg, err := edge.PolicyConfig(p.ShedPolicy, p.MaxBatch, window, p.KeyframeInterval)
+	cfg.Workers = p.Accelerators
+	cfg.QueueDepth = p.QueueDepth
+	return cfg, err
 }
 
 // newSLO fills the accounting and latency half of the report. Replicas is

@@ -1,10 +1,13 @@
 package drive
 
 import (
+	"strings"
 	"testing"
 	"time"
 
 	"edgeis/internal/loadgen"
+	"edgeis/internal/segmodel"
+	"edgeis/internal/transport"
 )
 
 // fastOpts compresses wall time so the suite stays quick while still
@@ -173,6 +176,46 @@ func TestRunTCPConservation(t *testing.T) {
 		t.Fatalf("target = %q, want tcp", slo.Target)
 	}
 	checkConservation(t, slo)
+}
+
+// TestRunTCPExternalAddr points the TCP target at a server it did not start
+// (the edgeis-loadgen -addr path): the run is a one-address fleet, every
+// frame must still reach that server and come back, and a profile that
+// shards or kills replicas is refused — the driver cannot kill a server it
+// does not own.
+func TestRunTCPExternalAddr(t *testing.T) {
+	if testing.Short() {
+		t.Skip("socket run skipped in -short")
+	}
+	p, err := loadgen.ProfileByName("tcp-smoke")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p = raceProfile(p)
+	srv := transport.NewServer(segmodel.New(segmodel.YOLOv3),
+		transport.WithAccelerators(p.Accelerators), transport.WithQueueDepth(p.QueueDepth))
+	bound, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	opts := fastOpts()
+	opts.Addr = bound.String()
+
+	slo, err := RunTCP(p, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkConservation(t, slo)
+	if st := srv.Scheduler().Stats(); st.Served < slo.Served || st.PeakSessions != p.Sessions {
+		t.Errorf("external server served %d frames over %d sessions, driver saw %d over %d",
+			st.Served, st.PeakSessions, slo.Served, p.Sessions)
+	}
+
+	p.Kills = []loadgen.ReplicaKill{{Replica: 0, AtMs: 100}}
+	if _, err := RunTCP(p, opts); err == nil || !strings.Contains(err.Error(), "-addr") {
+		t.Errorf("kills with an external address: err = %v, want refusal", err)
+	}
 }
 
 // TestRunSchedulerFleetKill drives a sharded scheduler fleet through a

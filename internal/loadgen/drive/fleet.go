@@ -1,13 +1,10 @@
 package drive
 
-// Fleet drive targets: the wall-clock counterparts of the simulator's
-// sharded mode. runSchedulerFleet replays a sharded profile against one
+// The two drive targets. RunScheduler replays a profile against one
 // edge.Scheduler per replica with driver-side failover (ResumeSession on a
-// survivor after a kill); runTCPFleet runs one transport.Server per replica
-// and one fleet.FleetClient per session, so the real failover path — socket
+// survivor after a kill); RunTCP runs one transport.Server per replica and
+// one fleet.FleetClient per session, so the real failover path — socket
 // loss, re-placement, resume handshake, forced keyframe — carries the run.
-// Both extend the conservation law with the migrated bucket and reconcile
-// the driver's accounting against the summed per-replica scheduler counters.
 
 import (
 	"errors"
@@ -133,31 +130,31 @@ func foldSchedStats(slo *loadgen.SLO, sts []edge.Stats) {
 	slo.KeyframeRate = keyframeRate(slo.KeyframesServed, slo.WarpedServed)
 }
 
-// runSchedulerFleet is RunScheduler's sharded mode: one scheduler per
-// replica, sessions rendezvous-placed exactly as the simulator places them.
-// A kill closes the replica's scheduler (admitted frames drain, new ones
-// fail), and a session discovers the death when a frame comes back
-// ErrClosed: that frame is counted migrated — never resent — and the
-// session resumes on a survivor via ResumeSession, cold cache and all, so
-// its next keyframe decision is forced. Once the whole fleet is dead,
-// remaining frames drop client-side.
-func runSchedulerFleet(p loadgen.Profile, o Options) (*loadgen.SLO, error) {
-	admission, dequeue, err := policies(p, o)
+// RunScheduler replays the profile against real edge.Schedulers in process,
+// one per replica, sessions rendezvous-placed exactly as the simulator
+// places them: one goroutine per session paces the generation schedule,
+// sheds at the outstanding cap, models the uplink with netsim pacing and
+// classifies every Infer outcome. A kill closes the replica's scheduler
+// (admitted frames drain, new ones fail), and a session discovers the death
+// when a frame comes back ErrClosed: that frame is counted migrated — never
+// resent — and the session resumes on a survivor via ResumeSession, cold
+// cache and all, so its next keyframe decision is forced. Once the whole
+// fleet is dead, remaining frames drop client-side. The returned SLO's
+// accounting is reconciled against the schedulers' own counters; any
+// mismatch is an error.
+func RunScheduler(p loadgen.Profile, opts Options) (*loadgen.SLO, error) {
+	p = p.Normalized()
+	o := opts.withDefaults()
+	cfg, err := edgeConfig(p, o)
 	if err != nil {
 		return nil, err
 	}
+	cfg.NewAccelerator = func(int) edge.Accelerator {
+		return &clipAccelerator{p: p, scale: o.TimeScale, frac: o.Occupancy}
+	}
 	scheds := make([]*edge.Scheduler, p.Replicas)
 	for r := range scheds {
-		scheds[r] = edge.NewScheduler(edge.Config{
-			Workers:    p.Accelerators,
-			QueueDepth: p.QueueDepth,
-			Admission:  admission,
-			Dequeue:    dequeue,
-			Keyframe:   p.KeyframePolicy(),
-			NewAccelerator: func(int) edge.Accelerator {
-				return &clipAccelerator{p: p, scale: o.TimeScale, frac: o.Occupancy}
-			},
-		})
+		scheds[r] = edge.NewScheduler(cfg)
 	}
 	fs := newFleetState(p.Replicas)
 	a := &agg{servedBy: make([]int, p.Sessions)}
@@ -224,6 +221,10 @@ func runSchedulerFleet(p loadgen.Profile, o Options) (*loadgen.SLO, error) {
 				go func(genAt, upMs float64, sess *edge.Session, gen int) {
 					defer reqs.Done()
 					sleepUntil(start, genAt+upMs, o.TimeScale)
+					// Each clip class gets its own input width so the batch
+					// former's shape-compatibility key (edge.BatchClass)
+					// separates clips here exactly as it would separate real
+					// resolutions.
 					in := segmodel.Input{Width: 64 + 16*(i%len(p.Clips)), Height: 48, Seed: int64(i)}
 					_, _, err := sess.Infer(in, nil)
 					doneMs := msSince(start)
@@ -273,11 +274,11 @@ func runSchedulerFleet(p loadgen.Profile, o Options) (*loadgen.SLO, error) {
 		warped += sts[r].WarpedServed
 	}
 	if served != a.served || rejected != a.rejected || shed != a.shed || cancelled != 0 {
-		return nil, fmt.Errorf("drive scheduler-fleet: accounting mismatch: driver served/rejected/shed %d/%d/%d, replicas served/rejected/shed/cancelled %d/%d/%d/%d",
+		return nil, fmt.Errorf("drive scheduler: accounting mismatch: driver served/rejected/shed %d/%d/%d, replicas served/rejected/shed/cancelled %d/%d/%d/%d",
 			a.served, a.rejected, a.shed, served, rejected, shed, cancelled)
 	}
 	if p.SkipCompute() && kf+warped != served {
-		return nil, fmt.Errorf("drive scheduler-fleet: keyframe partition violated: keyframes %d + warped %d != served %d",
+		return nil, fmt.Errorf("drive scheduler: keyframe partition violated: keyframes %d + warped %d != served %d",
 			kf, warped, served)
 	}
 	slo := newSLO(p, "scheduler", a, horizon)
@@ -285,25 +286,32 @@ func runSchedulerFleet(p loadgen.Profile, o Options) (*loadgen.SLO, error) {
 	return slo, nil
 }
 
-// runTCPFleet is RunTCP's sharded mode: one in-process transport.Server per
-// replica on its own loopback socket, one fleet.FleetClient per session. A
+// RunTCP replays the profile over real sockets: one in-process
+// transport.Server per replica on its own loopback socket (or the one
+// external server at Options.Addr), one fleet.FleetClient per session. A
 // kill force-closes the replica's server; the fleet clients observe the
 // socket loss, re-place, and replay the resume handshake — the exact
-// production failover path. Client-side accounting folds the fleet client's
+// production failover path. Accounting is client-side — results, rejects and
+// shed notices come back over the wire — and folds the fleet client's
 // settled conservation identity into the run's: connection losses with a
-// completed migration count migrated, terminal/teardown losses count
-// dropped.
-func runTCPFleet(p loadgen.Profile, o Options) (*loadgen.SLO, error) {
-	if o.Addr != "" {
-		return nil, fmt.Errorf("drive tcp: sharded profile %s runs its own in-process replicas; -addr is single-edge only", p.Name)
-	}
-	admission, dequeue, err := policies(p, o)
+// completed migration count migrated, terminal/teardown losses and offloads
+// still unresolved DrainTimeout after the horizon count dropped.
+func RunTCP(p loadgen.Profile, opts Options) (*loadgen.SLO, error) {
+	p = p.Normalized()
+	o := opts.withDefaults()
+	cfg, err := edgeConfig(p, o)
 	if err != nil {
 		return nil, err
 	}
-	servers := make([]*transport.Server, p.Replicas)
-	addrs := make([]string, p.Replicas)
-	closeOnce := make([]sync.Once, p.Replicas)
+	var servers []*transport.Server
+	addrs := []string{o.Addr}
+	if o.Addr == "" {
+		servers = make([]*transport.Server, p.Replicas)
+		addrs = make([]string, p.Replicas)
+	} else if p.Sharded() || len(p.Kills) > 0 {
+		return nil, fmt.Errorf("drive tcp: profile %s shards or kills replicas, which needs in-process servers; -addr drives one external server", p.Name)
+	}
+	closeOnce := make([]sync.Once, len(servers))
 	closeSrv := func(r int) {
 		closeOnce[r].Do(func() { _ = servers[r].Close() })
 	}
@@ -315,19 +323,13 @@ func runTCPFleet(p loadgen.Profile, o Options) (*loadgen.SLO, error) {
 		}
 	}()
 	for r := range servers {
-		srvOpts := []transport.ServerOption{
-			transport.WithAccelerators(p.Accelerators),
-			transport.WithQueueDepth(p.QueueDepth),
-			transport.WithWallOccupancy(o.Occupancy * o.TimeScale),
-			transport.WithAdmissionPolicy(admission),
-		}
-		if dequeue != nil {
-			srvOpts = append(srvOpts, transport.WithDequeuePolicy(dequeue))
-		}
-		if p.SkipCompute() {
-			srvOpts = append(srvOpts, transport.WithKeyframePolicy(p.KeyframePolicy()))
-		}
-		srv := transport.NewServer(segmodel.New(segmodel.YOLOv3), srvOpts...)
+		srv := transport.NewServer(segmodel.New(segmodel.YOLOv3),
+			transport.WithAccelerators(cfg.Workers),
+			transport.WithQueueDepth(cfg.QueueDepth),
+			transport.WithWallOccupancy(o.Occupancy*o.TimeScale),
+			transport.WithAdmissionPolicy(cfg.Admission),
+			transport.WithDequeuePolicy(cfg.Dequeue),
+			transport.WithKeyframePolicy(cfg.Keyframe))
 		bound, err := srv.Listen("127.0.0.1:0")
 		if err != nil {
 			return nil, err
@@ -432,7 +434,7 @@ func runTCPFleet(p loadgen.Profile, o Options) (*loadgen.SLO, error) {
 
 			st := fc.Stats()
 			if !st.Conserved() || st.Sent != sent || st.Delivered != served {
-				sessErrs[i] = fmt.Errorf("drive tcp-fleet: session %d accounting leak: driver sent/served %d/%d, client %+v",
+				sessErrs[i] = fmt.Errorf("drive tcp: session %d accounting leak: driver sent/served %d/%d, client %+v",
 					i, sent, served, st)
 				return
 			}
@@ -449,7 +451,11 @@ func runTCPFleet(p loadgen.Profile, o Options) (*loadgen.SLO, error) {
 		}
 	}
 
-	sts := make([]edge.Stats, p.Replicas)
+	slo := newSLO(p, "tcp", a, horizon)
+	if servers == nil {
+		return slo, nil // external server: nothing to reconcile against
+	}
+	sts := make([]edge.Stats, len(servers))
 	var served, rejected, shed, cancelled, kf, warped, resumed int
 	for r := range servers {
 		closeSrv(r)
@@ -466,19 +472,18 @@ func runTCPFleet(p loadgen.Profile, o Options) (*loadgen.SLO, error) {
 	// killed replica legitimately served frames whose results died with its
 	// sockets (the clients count those migrated).
 	if served+rejected+shed+cancelled < a.served+a.rejected+a.shed {
-		return nil, fmt.Errorf("drive tcp-fleet: accounting mismatch: clients saw served/rejected/shed %d/%d/%d, replicas served/rejected/shed/cancelled %d/%d/%d/%d",
+		return nil, fmt.Errorf("drive tcp: accounting mismatch: clients saw served/rejected/shed %d/%d/%d, replicas served/rejected/shed/cancelled %d/%d/%d/%d",
 			a.served, a.rejected, a.shed, served, rejected, shed, cancelled)
 	}
 	if p.SkipCompute() && kf+warped != served {
-		return nil, fmt.Errorf("drive tcp-fleet: keyframe partition violated: keyframes %d + warped %d != served %d",
+		return nil, fmt.Errorf("drive tcp: keyframe partition violated: keyframes %d + warped %d != served %d",
 			kf, warped, served)
 	}
 	// Migrated frames imply completed failovers, and every completed
 	// failover lands a resume handshake on a survivor.
 	if a.migrated > 0 && resumed == 0 && len(fs.alive()) > 0 {
-		return nil, fmt.Errorf("drive tcp-fleet: %d frames migrated but no replica adopted a session", a.migrated)
+		return nil, fmt.Errorf("drive tcp: %d frames migrated but no replica adopted a session", a.migrated)
 	}
-	slo := newSLO(p, "tcp", a, horizon)
 	foldSchedStats(slo, sts)
 	return slo, nil
 }

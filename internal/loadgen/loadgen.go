@@ -7,16 +7,16 @@
 //
 //   - The in-process simulator (Run, sim.go) advances a virtual clock over
 //     an event queue, modelling the uplink/downlink with netsim pacing and
-//     the edge with the exact admission discipline of edge.Scheduler
-//     (bounded queue, explicit reject, fair per-session round-robin over a
-//     pool of accelerators). Runs are a pure function of the profile and
-//     seed: two runs produce byte-identical SLO reports, which is what lets
-//     BENCH_serving.json act as a committed baseline.
+//     running the edge's own admission queue (edge.FairQueue under an
+//     edge.AdmissionPolicy, the values edge.Scheduler holds) in front of a
+//     pool of modelled accelerators. Runs are a pure function of the
+//     profile and seed: two runs produce byte-identical SLO reports, which
+//     is what lets BENCH_serving.json act as a committed baseline.
 //   - The wall-clock drivers (package loadgen/drive) replay the same
 //     profiles against the real edge.Scheduler in-process and against
 //     transport.Server over real sockets, with reconciled accounting so the
-//     no-silent-loss law offered == served + rejected + dropped holds there
-//     too.
+//     no-silent-loss law offered == served + rejected + shed + dropped +
+//     migrated holds there too.
 //
 // A workload Profile assigns each synthetic session a clip class (payload
 // and inference cost), an arrival process (steady, bursty or ramp) and a
@@ -152,9 +152,9 @@ type Profile struct {
 	Links []LinkShape `json:"links"`
 	Clips []ClipClass `json:"clips"`
 	// MaxBatch caps how many compatible frames (same clip class) one
-	// accelerator launch may serve — the edge.DequeuePolicy mirror. Zero or
-	// one keeps the single-dequeue discipline byte-identical to the
-	// committed baselines.
+	// accelerator launch may serve (edge.GatherBatch.Max on the live
+	// targets). Zero or one is single dequeue: every launch is a batch of
+	// one.
 	MaxBatch int `json:"max_batch,omitempty"`
 	// BatchWindowMs is how long an underfull batch holds its accelerator
 	// waiting for companions before launching (virtual ms; the wall-clock
@@ -178,11 +178,11 @@ type Profile struct {
 	// and round-robin ring. Sessions are placed by rendezvous hashing on
 	// the session key (fleet.Rendezvous), so the simulator, the drivers and
 	// a real fleet client agree on ownership from the address list alone.
-	// Zero or one is the single-edge mode, byte-identical to the committed
-	// baselines.
+	// Zero or one is a fleet of one: the same code path, one shard.
 	Replicas int `json:"replicas,omitempty"`
-	// Kills schedules mid-run replica failures (only meaningful with
-	// Replicas > 1). A killed replica loses every frame it holds — queued,
+	// Kills schedules mid-run replica failures (killing the only replica
+	// leaves the sessions nowhere to go: later frames drop client-side). A
+	// killed replica loses every frame it holds — queued,
 	// staged, or on an accelerator — to the Migrated bucket, its sessions
 	// re-place among the survivors with invalidated feature caches (the
 	// next frame is a forced keyframe), and frames already in uplink
@@ -323,6 +323,9 @@ func (p Profile) withDefaults() Profile {
 	}
 	if p.ShedPolicy == "" {
 		p.ShedPolicy = "reject"
+	}
+	if p.Replicas < 1 {
+		p.Replicas = 1
 	}
 	if p.SkipCompute() {
 		// Clips without an explicit warp cost serve non-keyframes at full

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 
+	"edgeis/internal/edge"
 	"edgeis/internal/metrics"
 	"edgeis/internal/netsim"
 	"edgeis/internal/segmodel"
@@ -12,12 +13,12 @@ import (
 
 // The in-process simulator: a virtual-time event queue over the whole
 // fleet. It models the mobile side (per-session outstanding cap, uplink
-// pacing), the edge admission discipline of edge.Scheduler (bounded queue,
-// explicit reject or latest-wins shedding, fair per-session round-robin
-// dequeue onto the earliest-free accelerator, optional cross-session
-// batching under the gather-window former) and the downlink delivery of
-// results. Nothing reads the wall clock, so a run is a pure function of
-// (Profile, Seed).
+// pacing), the accelerators (lowest-index idle one launches, optional
+// gather window) and the downlink delivery of results. The edge's admission
+// and dequeue discipline is not modelled but run: each replica holds the
+// same edge.FairQueue and edge.AdmissionPolicy that edge.Scheduler does,
+// and each session the same segmodel.KeyframeStream. Nothing reads the wall
+// clock, so a run is a pure function of (Profile, Seed).
 
 // evKind tags simulator events.
 type evKind uint8
@@ -63,9 +64,25 @@ type simJob struct {
 	sess     int
 	genAt    float64
 	arriveAt float64
-	// keyframe is the skip-compute classification made at edge admission
-	// (constant true when the profile disables the feature cache); it picks
-	// the inference cost and the batch-compatibility class.
+	// decision is the skip-compute classification made at edge admission
+	// (the constant keyframe when the profile disables the feature cache);
+	// it picks the inference cost and, with the clip name, the
+	// batch-compatibility class.
+	decision segmodel.KeyframeDecision
+	clip     string
+}
+
+// BatchClass is the job's compatibility key for edge.FairQueue.Gather.
+func (j *simJob) BatchClass() simClass {
+	return simClass{clip: j.clip, keyframe: j.decision.Keyframe}
+}
+
+// simClass is the batch-compatibility key: clip class and keyframe class (a
+// full-backbone launch and a cache warp are different cost shapes; with
+// skip-compute off every job is a keyframe, so the key reduces to the
+// clip).
+type simClass struct {
+	clip     string
 	keyframe bool
 }
 
@@ -94,30 +111,25 @@ type simSession struct {
 	nextGen     int
 	up, down    *netsim.Link
 	outstanding int
-	pending     []*simJob
+	lane        edge.Lane[*simJob]
 	served      int
 	// replica is the edge shard serving the session: rendezvous-placed at
 	// start, re-placed among survivors when its replica dies (-1 once the
 	// whole fleet is dead — further frames drop client-side, the mobile
 	// has nowhere to connect).
 	replica int
-	// kfValid/kfAge mirror the session's edge-side feature cache: valid
-	// after a keyframe decision, aged by each non-keyframe, invalidated when
-	// a decided keyframe is lost before serving (reject or shed) — or when
-	// the session migrates, because the cached pyramid died with the old
-	// replica and the first frame on the new one must be a keyframe.
-	kfValid bool
-	kfAge   int
+	// keyframes is the session's edge-side skip-compute state, reset when
+	// the session migrates: the cached pyramid died with the old replica,
+	// so the first frame on the new one must be a keyframe.
+	keyframes segmodel.KeyframeStream
 }
 
-// simEdge is one edge replica's state, mirroring edge.Scheduler: rotating
-// ring of sessions with pending work, queued count, per-accelerator busy
-// horizon. staged holds an underfull batch per reserved accelerator during
-// its gather window. gen is the failover generation: a kill bumps it so
-// events addressed to the old incarnation resolve stale.
+// simEdge is one edge replica's state: the admission queue, per-accelerator
+// busy horizon, and staged — an underfull batch per reserved accelerator
+// during its gather window. gen is the failover generation: a kill bumps it
+// so events addressed to the old incarnation resolve stale.
 type simEdge struct {
-	ring      []int
-	queued    int
+	queue     edge.FairQueue[*simJob, simClass]
 	accelIdle []bool
 	busyMs    []float64
 	staged    [][]*simJob
@@ -127,17 +139,17 @@ type simEdge struct {
 
 // sim is the run state.
 type sim struct {
-	p     Profile
-	heap  eventHeap
-	seq   int64
-	sess  []*simSession
-	maxAt float64
+	p         Profile
+	admission edge.AdmissionPolicy
+	heap      eventHeap
+	seq       int64
+	sess      []*simSession
+	maxAt     float64
 
-	// edges are the replica shards (exactly one outside fleet mode; the
-	// single-replica event order and RNG draw order are byte-identical to
-	// the pre-fleet simulator). edgeRng is shared across replicas: virtual
-	// time serializes every draw deterministically, so per-replica streams
-	// would buy nothing.
+	// edges are the replica shards (exactly one unless the profile shards
+	// the edge). edgeRng is shared across replicas: virtual time serializes
+	// every draw deterministically, so per-replica streams would buy
+	// nothing.
 	edges   []*simEdge
 	edgeRng *rand.Rand
 
@@ -166,18 +178,21 @@ func (s *sim) alive() []int {
 }
 
 // Run executes the profile on the virtual-time simulator and returns its
-// SLO report. Two calls with the same profile return identical reports.
+// SLO report. Two calls with the same profile return identical reports. Like
+// an unknown link shape, an unknown ShedPolicy is a malformed profile and
+// panics; edgeis-loadgen validates the name before any target runs.
 func Run(p Profile) *SLO {
 	p = p.withDefaults()
-	replicas := p.Replicas
-	if replicas < 1 {
-		replicas = 1
+	admission, err := edge.AdmissionPolicyByName(p.ShedPolicy)
+	if err != nil {
+		panic("loadgen: " + err.Error())
 	}
 	s := &sim{
-		p:       p,
-		sess:    make([]*simSession, p.Sessions),
-		edges:   make([]*simEdge, replicas),
-		edgeRng: rand.New(rand.NewSource(p.Seed*7_369_131 + 17)),
+		p:         p,
+		admission: admission,
+		sess:      make([]*simSession, p.Sessions),
+		edges:     make([]*simEdge, p.Replicas),
+		edgeRng:   rand.New(rand.NewSource(p.Seed*7_369_131 + 17)),
 	}
 	for r := range s.edges {
 		ed := &simEdge{
@@ -193,21 +208,18 @@ func Run(p Profile) *SLO {
 	allAlive := s.alive()
 	for i := 0; i < p.Sessions; i++ {
 		s.sess[i] = &simSession{
-			clip:     p.ClipFor(i),
-			arrivals: p.SessionArrivals(i),
-			up:       netsim.NewLink(p.LinkFor(i).NetProfile(), p.Seed+int64(i)*2+1),
-			down:     netsim.NewLink(p.LinkFor(i).NetProfile(), p.Seed+int64(i)*2+2),
-		}
-		if p.Sharded() {
-			s.sess[i].replica = p.PlaceSession(i, allAlive)
+			clip:      p.ClipFor(i),
+			arrivals:  p.SessionArrivals(i),
+			up:        netsim.NewLink(p.LinkFor(i).NetProfile(), p.Seed+int64(i)*2+1),
+			down:      netsim.NewLink(p.LinkFor(i).NetProfile(), p.Seed+int64(i)*2+2),
+			replica:   p.PlaceSession(i, allAlive),
+			keyframes: segmodel.KeyframeStream{Policy: p.KeyframePolicy()},
 		}
 		s.push(event{at: s.sess[i].arrivals[0], kind: evGen, sess: i})
 	}
-	if p.Sharded() {
-		for _, k := range p.Kills {
-			if k.Replica >= 0 && k.Replica < replicas {
-				s.push(event{at: k.AtMs, kind: evKill, replica: k.Replica})
-			}
+	for _, k := range p.Kills {
+		if k.Replica >= 0 && k.Replica < p.Replicas {
+			s.push(event{at: k.AtMs, kind: evKill, replica: k.Replica})
 		}
 	}
 
@@ -272,37 +284,10 @@ func (s *sim) countKeyframes(n int) { s.keyframes += n }
 
 func (s *sim) countWarped(n int) { s.warped += n }
 
-// decideKeyframe classifies one arriving frame against the session's
-// feature-cache mirror, in arrival order — the interval-driven half of
-// segmodel.KeyframePolicy.Decide (loadgen frames carry no contours, so the
-// churn trigger never fires). Keyframes refresh the cache, non-keyframes
-// age it.
-func (s *sim) decideKeyframe(ss *simSession) bool {
-	if !s.p.SkipCompute() {
-		return true
-	}
-	if !ss.kfValid || ss.kfAge+1 >= s.p.KeyframeInterval {
-		ss.kfValid, ss.kfAge = true, 0
-		return true
-	}
-	ss.kfAge++
-	return false
-}
-
-// dropKeyframeFor invalidates the session's cache mirror when a decided
-// keyframe is lost before serving: its features were never computed, so
-// the next frame must be a keyframe (edge.Session.dropCacheFor's rule). A
-// lost non-keyframe leaves the cached keyframe intact.
-func (s *sim) dropKeyframeFor(ss *simSession, keyframe bool) {
-	if s.p.SkipCompute() && keyframe {
-		ss.kfValid = false
-	}
-}
-
 // jobCost is the nominal accelerator cost of one job's cost shape.
 func (s *sim) jobCost(j *simJob) float64 {
 	clip := s.sess[j.sess].clip
-	if j.keyframe {
+	if j.decision.Keyframe {
 		return clip.InferMs
 	}
 	return clip.WarpMs
@@ -326,14 +311,14 @@ func (s *sim) generate(e event) {
 	upMs := ss.up.TransferMs(e.at, ss.clip.PayloadBytes)
 	s.push(event{at: e.at + upMs, kind: evArrive, sess: e.sess,
 		replica: ss.replica, gen: s.edges[ss.replica].gen,
-		job: &simJob{sess: e.sess, genAt: e.at, arriveAt: e.at + upMs}})
+		job: &simJob{sess: e.sess, genAt: e.at, arriveAt: e.at + upMs, clip: ss.clip.Name}})
 }
 
-// arrive handles edge admission: a full queue rejects explicitly under the
-// default policy; under latest-wins it sheds the session's own oldest
-// queued frame to admit the fresh one (degrading to reject when the session
-// has nothing queued). An admitted frame joins its session's pending list
-// and the round-robin ring.
+// arrive handles edge admission through the replica's queue: a refused
+// frame (queue full, or latest-wins with nothing of the session's own to
+// shed) and a shed stale frame both free their outstanding slot at once —
+// their results will never come back — and tell the session's keyframe
+// stream what was lost.
 func (s *sim) arrive(e event) {
 	ss := s.sess[e.sess]
 	ed := s.edges[e.replica]
@@ -345,49 +330,32 @@ func (s *sim) arrive(e event) {
 		ss.outstanding--
 		return
 	}
-	// Keyframe classification happens at admission in arrival order,
-	// mirroring edge.Scheduler's decide-before-admission: even a frame the
-	// queue then rejects has advanced the session's cache state.
-	e.job.keyframe = s.decideKeyframe(ss)
-	// Ring membership is decided before any shed mutates pending, exactly
-	// like edge.Scheduler: a latest-wins shed can momentarily empty the
-	// pending list without the session ever leaving the ring.
-	inRing := len(ss.pending) > 0
-	if ed.queued >= s.p.QueueDepth {
-		if s.p.ShedPolicy == "latest-wins" && len(ss.pending) > 0 {
-			// The shed frame's result will never come back, so its
-			// outstanding slot frees immediately; if it was a decided
-			// keyframe, the cache it would have refreshed is gone too.
-			stale := ss.pending[0]
-			ss.pending = ss.pending[1:]
-			ed.queued--
-			s.countShed()
-			ss.outstanding--
-			s.dropKeyframeFor(ss, stale.keyframe)
-		} else {
-			s.countRejected()
-			ss.outstanding--
-			s.dropKeyframeFor(ss, e.job.keyframe)
-			return
-		}
+	// The loadgen workload carries no contours, so on this fixed-shape,
+	// guidance-less input the decision is purely interval-driven.
+	e.job.decision = ss.keyframes.Decide(segmodel.Input{Width: 1, Height: 1}, nil)
+	verdict, stale := ed.queue.Admit(s.admission, s.p.QueueDepth, &ss.lane, e.job)
+	switch verdict {
+	case edge.VerdictReject:
+		s.countRejected()
+		ss.outstanding--
+		ss.keyframes.Lost(e.job.decision)
+		return
+	case edge.VerdictShedOldest:
+		s.countShed()
+		ss.outstanding--
+		ss.keyframes.Lost(stale.decision)
 	}
-	if !inRing {
-		ed.ring = append(ed.ring, e.sess)
-	}
-	ss.pending = append(ss.pending, e.job)
-	ed.queued++
-	s.depths.Add(float64(ed.queued))
+	s.depths.Add(float64(ed.queue.Len()))
 	s.dispatch(e.at, e.replica)
 }
 
-// dispatch feeds idle accelerators from the round-robin ring, exactly the
-// discipline of edge.Scheduler.next: the front session gives up one
-// request and rotates to the back while it still has pending work, so a
-// backlogged session is served once per pass and can never be lapped by a
-// churn of fresh sessions.
+// dispatch feeds idle accelerators from the replica's queue: the ring head
+// anchors a batch, compatible jobs join it up to MaxBatch (none when
+// MaxBatch is 1), and an underfull batch reserves its accelerator for one
+// gather window before launching.
 func (s *sim) dispatch(now float64, r int) {
 	ed := s.edges[r]
-	for ed.queued > 0 {
+	for ed.queue.Len() > 0 {
 		accel := -1
 		for i, idle := range ed.accelIdle {
 			if idle {
@@ -398,27 +366,7 @@ func (s *sim) dispatch(now float64, r int) {
 		if accel < 0 {
 			return
 		}
-		if s.p.MaxBatch <= 1 {
-			// Single-dequeue path, kept verbatim: the committed baselines
-			// depend on the exact operation and RNG-draw order here.
-			si := ed.ring[0]
-			ed.ring = ed.ring[1:]
-			ss := s.sess[si]
-			j := ss.pending[0]
-			ss.pending = ss.pending[1:]
-			ed.queued--
-			if len(ss.pending) > 0 {
-				ed.ring = append(ed.ring, si)
-			}
-			s.waits.Add(now - j.arriveAt)
-			inferMs := s.jobCost(j) * (1 + 0.08*math.Abs(s.edgeRng.NormFloat64()))
-			ed.accelIdle[accel] = false
-			ed.busyMs[accel] += inferMs
-			s.push(event{at: now + inferMs, kind: evInferDone,
-				replica: r, gen: ed.gen, accel: accel, batch: []*simJob{j}})
-			continue
-		}
-		batch := s.gather(r, nil)
+		batch := ed.queue.Gather([]*simJob{ed.queue.TakeHead()}, s.p.MaxBatch)
 		if len(batch) < s.p.MaxBatch && s.p.BatchWindowMs > 0 {
 			// Underfull: reserve the accelerator for one gather window;
 			// frames arriving meanwhile top the batch up at flush time.
@@ -430,49 +378,6 @@ func (s *sim) dispatch(now float64, r int) {
 		}
 		s.launch(now, r, accel, batch)
 	}
-}
-
-// gather forms one batch under the edge's discipline: the ring-front
-// session's oldest job anchors the clip class (rotating to the back while it
-// still has pending work), then one compatible job per ring session joins in
-// ring order, up to MaxBatch. A non-nil seed batch is topped up instead —
-// the flush path after a gather window.
-func (s *sim) gather(r int, batch []*simJob) []*simJob {
-	ed := s.edges[r]
-	if len(batch) == 0 {
-		si := ed.ring[0]
-		ed.ring = ed.ring[1:]
-		ss := s.sess[si]
-		batch = append(batch, ss.pending[0])
-		ss.pending = ss.pending[1:]
-		ed.queued--
-		if len(ss.pending) > 0 {
-			ed.ring = append(ed.ring, si)
-		}
-	}
-	// The anchor fixes both compatibility keys: clip class and keyframe
-	// class (a full-backbone launch and a cache warp are different cost
-	// shapes; with skip-compute off every job is a keyframe, so the test
-	// reduces to the historical clip-only key).
-	class := s.sess[batch[0].sess].clip.Name
-	kf := batch[0].keyframe
-	for i := 0; i < len(ed.ring) && len(batch) < s.p.MaxBatch; {
-		si := ed.ring[i]
-		ss := s.sess[si]
-		if ss.clip.Name != class || ss.pending[0].keyframe != kf {
-			i++
-			continue
-		}
-		batch = append(batch, ss.pending[0])
-		ss.pending = ss.pending[1:]
-		ed.queued--
-		if len(ss.pending) == 0 {
-			ed.ring = append(ed.ring[:i], ed.ring[i+1:]...)
-		} else {
-			i++
-		}
-	}
-	return batch
 }
 
 // launch starts one accelerator pass over a batch: per-job inference costs
@@ -489,8 +394,12 @@ func (s *sim) launch(now float64, r, accel int, batch []*simJob) {
 	batchMs := segmodel.BatchMs(solos)
 	ed.accelIdle[accel] = false
 	ed.busyMs[accel] += batchMs
-	s.batches++
-	s.batchJobs += len(batch)
+	// Batch telemetry only exists under the batch former, as on
+	// edge.Scheduler.
+	if s.p.MaxBatch > 1 {
+		s.batches++
+		s.batchJobs += len(batch)
+	}
 	s.push(event{at: now + batchMs, kind: evInferDone,
 		replica: r, gen: ed.gen, accel: accel, batch: batch})
 }
@@ -512,7 +421,7 @@ func (s *sim) flush(e event) {
 	}
 	batch := ed.staged[e.accel]
 	ed.staged[e.accel] = nil
-	s.launch(e.at, e.replica, e.accel, s.gather(e.replica, batch))
+	s.launch(e.at, e.replica, e.accel, ed.queue.Gather(batch, s.p.MaxBatch))
 }
 
 // inferDone frees the accelerator, paces each completed result over its
@@ -550,21 +459,15 @@ func (s *sim) kill(e event) {
 	}
 	ed.dead = true
 	ed.gen++
-	ed.ring = nil
-	ed.queued = 0
 	alive := s.alive()
 	for i, ss := range s.sess {
 		if ss.replica != e.replica {
 			continue
 		}
-		s.countMigrated(len(ss.pending))
-		ss.outstanding -= len(ss.pending)
-		ss.pending = nil
-		ss.kfValid = false
-		if len(alive) == 0 {
-			ss.replica = -1
-			continue
-		}
+		lost := len(ed.queue.DropLane(&ss.lane))
+		s.countMigrated(lost)
+		ss.outstanding -= lost
+		ss.keyframes.Reset()
 		ss.replica = s.p.PlaceSession(i, alive)
 	}
 }
@@ -576,7 +479,7 @@ func (s *sim) deliver(e event) {
 	ss.outstanding--
 	s.countServed(ss)
 	if s.p.SkipCompute() {
-		if e.job.keyframe {
+		if e.job.decision.Keyframe {
 			s.countKeyframes(1)
 		} else {
 			s.countWarped(1)

@@ -42,7 +42,7 @@ func TestSimBackendDroppedKeyframeInvalidatesCache(t *testing.T) {
 	// Frame 0 starts immediately (cold keyframe) and holds the accelerator;
 	// everything below queues behind it within its service time.
 	b.Submit(internalRequest(0), 0)
-	if !b.keyframe.cache.Valid() {
+	if !b.keyframe.Valid() {
 		t.Fatal("cache not primed by the first keyframe decision")
 	}
 	// Frame 1 (warp, age 1) queues; frame 2 hits the interval (keyframe) and
@@ -52,7 +52,7 @@ func TestSimBackendDroppedKeyframeInvalidatesCache(t *testing.T) {
 	if got := b.Stats().DroppedOffloads; got != 1 {
 		t.Fatalf("drops after frame 2: %d, want 1", got)
 	}
-	if !b.keyframe.cache.Valid() {
+	if !b.keyframe.Valid() {
 		t.Error("dropping a warped frame invalidated the cache")
 	}
 	// Frame 3 (warp against frame 2's refresh) displaces frame 2 — a lost
@@ -61,7 +61,7 @@ func TestSimBackendDroppedKeyframeInvalidatesCache(t *testing.T) {
 	if got := b.Stats().DroppedOffloads; got != 2 {
 		t.Fatalf("drops after frame 3: %d, want 2", got)
 	}
-	if b.keyframe.cache.Valid() {
+	if b.keyframe.Valid() {
 		t.Error("dropping a decided keyframe left the cache valid")
 	}
 	// The next decision must therefore be a cold keyframe.
@@ -95,13 +95,13 @@ func TestLoopbackRejectedKeyframeInvalidatesCache(t *testing.T) {
 			t.Fatalf("frame %d unexpectedly admitted", i)
 		}
 	}
-	if !b.keyframe.cache.Valid() {
+	if !b.keyframe.Valid() {
 		t.Fatal("rejected warp frames invalidated the cache")
 	}
 	// Frame 8 hits the forced-keyframe interval; its rejection must
 	// invalidate the cache.
 	b.Submit(internalRequest(8), 8)
-	if b.keyframe.cache.Valid() {
+	if b.keyframe.Valid() {
 		t.Error("rejected keyframe left the cache valid")
 	}
 	// Free the slot; the next admitted frame is a cold keyframe and
@@ -110,7 +110,7 @@ func TestLoopbackRejectedKeyframeInvalidatesCache(t *testing.T) {
 	if got := len(b.Submit(internalRequest(9), 9)); got != 1 {
 		t.Fatalf("frame 9 results = %d, want 1", got)
 	}
-	if !b.keyframe.cache.Valid() {
+	if !b.keyframe.Valid() {
 		t.Error("served cold keyframe did not re-prime the cache")
 	}
 	if st := b.Stats(); st.DroppedOffloads != 8 || st.Results != 2 {

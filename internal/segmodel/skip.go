@@ -16,10 +16,10 @@ package segmodel
 // at Profile.WarpPenaltyMax), so the accuracy/latency trade-off stays
 // measurable against the oracle.
 //
-// Ownership: the cache belongs to whoever owns the session (edge.Session,
-// pipeline backends, the loadgen simulator). segmodel only defines the
-// decision function and the cost model; it holds no cross-frame state of
-// its own, so Model stays stateless and clone-safe.
+// Ownership: the cross-frame state of one client stream is a
+// KeyframeStream value held by whoever owns the session (edge.Session, the
+// pipeline backends, the loadgen simulator). Model itself holds no
+// cross-frame state, so it stays stateless and clone-safe.
 
 import (
 	"math"
@@ -228,6 +228,50 @@ func (p KeyframePolicy) Decide(c *FeatureCache, in Input, g Guidance) KeyframeDe
 		TotalTiles:   total,
 	}
 }
+
+// KeyframeStream is the skip-compute state of one client stream: the policy
+// plus the stream's feature cache, created on the first decision under an
+// enabled policy. Every owner of a stream — edge.Session, the pipeline's
+// simulated backends, the loadgen simulator — holds one, so the decide-in-
+// arrival-order and lost-keyframe rules exist once. Not safe for concurrent
+// use; the owner serializes access.
+type KeyframeStream struct {
+	Policy KeyframePolicy
+	cache  *FeatureCache
+}
+
+// Decide classifies the stream's next frame. It is the stream's only
+// cross-frame state transition, so owners call it exactly once per frame in
+// arrival order — before admission, since even a frame the queue then
+// refuses has advanced the cache. With the policy disabled it returns the
+// constant keyframe decision and never creates a cache.
+func (k *KeyframeStream) Decide(in Input, g Guidance) KeyframeDecision {
+	if !k.Policy.Enabled() {
+		return KeyframeDecision{Keyframe: true, Reason: KeyDisabled}
+	}
+	if k.cache == nil {
+		k.cache = NewFeatureCache()
+	}
+	return k.Policy.Decide(k.cache, in, g)
+}
+
+// Lost records that the frame carrying decision d never reached an
+// accelerator (rejected, shed, dropped at a full queue). Only a lost
+// keyframe matters: its pyramid was never computed, so later frames must
+// not warp from it and the next one is a cold keyframe. A lost non-keyframe
+// leaves the cached keyframe intact.
+func (k *KeyframeStream) Lost(d KeyframeDecision) {
+	if d.Keyframe && d.Reason != KeyDisabled {
+		k.cache.Invalidate()
+	}
+}
+
+// Reset evicts the cache: the session closed, or migrated to a replica
+// that never saw its keyframes.
+func (k *KeyframeStream) Reset() { k.cache = nil }
+
+// Valid reports whether the stream holds a usable keyframe pyramid.
+func (k *KeyframeStream) Valid() bool { return k.cache.Valid() }
 
 // matchContours greedily matches each current contour box to the nearest
 // cached keyframe box by center distance. A current box counts as moved

@@ -235,6 +235,49 @@ func TestMigrationForcesKeyframe(t *testing.T) {
 	}
 }
 
+// TestKeyframeStream pins the per-stream rules every owner shares: a
+// disabled policy never creates a cache, only a lost keyframe invalidates,
+// and Reset (session close, migration) forces the next frame cold.
+func TestKeyframeStream(t *testing.T) {
+	in := testInput(1)
+
+	var off KeyframeStream
+	if d := off.Decide(in, nil); !d.Keyframe || d.Reason != KeyDisabled || off.Valid() {
+		t.Fatalf("disabled stream: decision %+v, valid %v", d, off.Valid())
+	}
+	off.Lost(KeyframeDecision{Keyframe: true, Reason: KeyCold}) // no cache: must not panic
+
+	k := KeyframeStream{Policy: KeyframePolicy{Interval: 8}}
+	if d := k.Decide(in, nil); d.Reason != KeyCold || !k.Valid() {
+		t.Fatalf("first frame: %+v, valid %v, want cold keyframe priming the cache", d, k.Valid())
+	}
+	warped := k.Decide(in, nil)
+	if warped.Keyframe {
+		t.Fatalf("second frame: %+v, want non-keyframe", warped)
+	}
+	k.Lost(warped)
+	if !k.Valid() {
+		t.Fatal("a lost non-keyframe invalidated the cache")
+	}
+	resized := in
+	resized.Width, resized.Height = in.Width/2, in.Height/2
+	lost := k.Decide(resized, nil)
+	if lost.Reason != KeyResolution {
+		t.Fatalf("resized frame: %+v, want resolution keyframe", lost)
+	}
+	k.Lost(lost)
+	if d := k.Decide(resized, nil); k.Valid() == false || d.Reason != KeyCold {
+		t.Fatalf("after a lost keyframe: %+v, want cold keyframe", d)
+	}
+	k.Reset()
+	if k.Valid() {
+		t.Fatal("Reset kept the cache")
+	}
+	if d := k.Decide(resized, nil); d.Reason != KeyCold {
+		t.Fatalf("after Reset: %+v, want cold keyframe", d)
+	}
+}
+
 func TestRunWarpedKeyframeIdenticalToRun(t *testing.T) {
 	for _, kind := range []Kind{MaskRCNN, YOLACT, YOLOv3} {
 		in := testInput(7)
