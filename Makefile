@@ -5,7 +5,7 @@ BENCHTIME ?= 200ms
 WORKLOAD ?= edge-burst
 SECONDS ?= 5
 
-.PHONY: build test short race vet lint fuzz bench kernelbench e2ebench loadgen servingbench loc check
+.PHONY: build test short race vet lint fuzz bench kernelbench e2ebench loadgen servingbench loc check idle
 
 build: ## Compile every package and binary.
 	$(GO) build ./...
@@ -55,3 +55,6 @@ loc: ## Non-test / test Go lines per package (wc -l), the size figure simplifica
 	done | awk '{n+=$$1; t+=$$2; print} END {printf "%6d %6d  total (non-test, test)\n", n, t}'
 
 check: vet lint build test race ## Everything CI runs, in order.
+
+idle: ## Hand-in check: fails, listing them, if any edgeis-* binary or Go test binary is still running (matches executable paths, so never itself or an argument).
+	@! ls -l /proc/[0-9]*/exe 2>/dev/null | grep -E '/(edgeis-[a-z]+|[^/ ]+\.test)$$'

@@ -13,8 +13,6 @@
 //	goroleak      goroutines in long-lived serving packages must be tied to a
 //	              shutdown path (WaitGroup, done channel, drained range, select)
 //	wgadd         WaitGroup.Add may not run inside the goroutine it accounts for
-//	conservation  serving counters (served/rejected/shed/dropped/...) only move
-//	              through their audited mutator methods
 //
 // Usage:
 //

@@ -169,6 +169,10 @@ func TestLatestWinsUnderChurn(t *testing.T) {
 		t.Errorf("conservation violated: offered %d != served %d + rejected %d + shed %d + cancelled %d",
 			offered.Load(), st.Served, st.Rejected, st.Shed, st.Cancelled)
 	}
+	l := s.Ledger()
+	if err := l.Check(0); err != nil || int64(l.Offered()) != offered.Load() {
+		t.Errorf("scheduler's own ledger after drain, callers offered %d: %+v: %v", offered.Load(), l, err)
+	}
 	if int64(st.Served) != served.Load() || int64(st.Rejected) != rejected.Load() || int64(st.Shed) != shed.Load() {
 		t.Errorf("caller tallies served/rejected/shed %d/%d/%d, stats %d/%d/%d",
 			served.Load(), rejected.Load(), shed.Load(), st.Served, st.Rejected, st.Shed)

@@ -95,12 +95,10 @@ type Scheduler struct {
 	nextID   int
 	resumed  int
 
-	served      int
-	rejected    int
-	shed        int
-	cancelled   int
-	keyframes   int
-	warped      int
+	// led is the scheduler's frame accounting: a request is offered once it
+	// passes the closed check, pending while queued or in flight, and ends
+	// served, rejected, shed or dropped (cancelled by session teardown).
+	led         metrics.Ledger
 	inferSum    float64
 	waits       metrics.Dist
 	depths      metrics.Dist
@@ -126,8 +124,8 @@ type Stats struct {
 	// Served, Rejected, Shed and Cancelled partition every admitted-or-
 	// refused request: answered, refused at admission, displaced by the
 	// session's own fresher frame (latest-wins), failed by session/
-	// scheduler shutdown. Nothing is lost silently:
-	// offered == Served + Rejected + Shed + Cancelled once drained.
+	// scheduler shutdown. Nothing is lost silently: Scheduler.Ledger holds
+	// the same buckets and its Check(Queued+InFlight) is the law.
 	Served    int
 	Rejected  int
 	Shed      int
@@ -150,9 +148,8 @@ type Stats struct {
 	BatchSizeCounts []int
 	// Skip-compute telemetry: with a keyframe policy enabled,
 	// KeyframesServed (feature-cache misses: full backbone) and
-	// WarpedServed (cache hits: partial warp cost) partition Served —
-	// KeyframesServed + WarpedServed == Served once drained. Both stay
-	// zero with the policy off.
+	// WarpedServed (cache hits: partial warp cost) partition Served. Both
+	// stay zero with the policy off.
 	KeyframesServed int
 	WarpedServed    int
 	// Session population. ResumedSessions counts sessions adopted from
@@ -267,22 +264,13 @@ func (s *Scheduler) QueueSnapshot() QueueSnapshot {
 	}
 }
 
-// The outcome counters below move only through these mutators, so every
-// write the conservation law depends on (each admitted request ends up
-// served, rejected, shed or cancelled — never silently lost) is auditable
-// by the conservation analyzer. All mutators expect s.mu held.
-
-func (s *Scheduler) countServed(n int) { s.served += n }
-func (s *Scheduler) countRejected()    { s.rejected++ }
-func (s *Scheduler) countShed()        { s.shed++ }
-func (s *Scheduler) countCancelled()   { s.cancelled++ }
-
-// countKeyframes and countWarped split countServed by keyframe class when a
-// keyframe policy is enabled: keyframes are feature-cache misses (full
-// backbone), warped frames cache hits (partial warp cost). Together they
-// must always equal served. Both expect s.mu held.
-func (s *Scheduler) countKeyframes(n int) { s.keyframes += n }
-func (s *Scheduler) countWarped(n int)    { s.warped += n }
+// Ledger snapshots the scheduler's frame accounting, for drivers that roll
+// replicas up with Ledger.Add. Its Pending is Queued + InFlight.
+func (s *Scheduler) Ledger() metrics.Ledger {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.led
+}
 
 // infer admits one request and blocks until it is served, rejected, shed or
 // cancelled. No scheduler lock is held while waiting.
@@ -301,21 +289,21 @@ func (s *Scheduler) infer(sess *Session, in segmodel.Input, g segmodel.Guidance)
 	s.mu.Lock()
 	if s.closed || sess.closed {
 		s.mu.Unlock()
-		sess.lost(d)
+		sess.lost(d, ErrClosed)
 		return nil, 0, ErrClosed
 	}
+	s.led.Offer(1)
 	verdict, stale := s.queue.Admit(s.admission, s.depth, &sess.lane, j)
 	switch verdict {
 	case VerdictReject:
-		s.countRejected()
+		s.led.Reject(1)
 		s.mu.Unlock()
-		sess.noteRejected()
-		sess.lost(d)
+		sess.lost(d, ErrQueueFull)
 		return nil, 0, ErrQueueFull
 	case VerdictShedOldest:
 		// The session's own oldest queued frame was displaced: its waiter
 		// learns it was shed, the fresh frame took the slot.
-		s.countShed()
+		s.led.ShedStale(1)
 		//edgeis:lockheld done is buffered (cap 1) and this is its only send, so it cannot block
 		stale.done <- jobResult{err: ErrShed}
 	}
@@ -323,8 +311,7 @@ func (s *Scheduler) infer(sess *Session, in segmodel.Input, g segmodel.Guidance)
 	s.cond.Signal()
 	s.mu.Unlock()
 	if stale != nil {
-		sess.noteShed()
-		sess.lost(stale.decision)
+		sess.lost(stale.decision, ErrShed)
 	}
 
 	r := <-j.done
@@ -431,14 +418,14 @@ func (s *Scheduler) worker(acc Accelerator) {
 
 		s.mu.Lock()
 		s.inflight -= len(batch)
-		s.countServed(len(batch))
+		s.led.Serve(len(batch))
 		if s.keyframe.Enabled() {
 			// Partition served by keyframe class; the class is uniform
 			// across the batch.
 			if batch[0].decision.Keyframe {
-				s.countKeyframes(len(batch))
+				s.led.Classify(len(batch), 0)
 			} else {
-				s.countWarped(len(batch))
+				s.led.Classify(0, len(batch))
 			}
 		}
 		// Batch telemetry only exists under the batch former; with single
@@ -474,7 +461,7 @@ func (s *Scheduler) closeSession(sess *Session) {
 	// already taken onto a worker (alone or in a gathering batch) complete
 	// normally.
 	for _, j := range s.queue.DropLane(&sess.lane) {
-		s.countCancelled()
+		s.led.Drop(1)
 		//edgeis:lockheld done is buffered (cap 1) and this is its only send, so it cannot block
 		j.done <- jobResult{err: ErrClosed}
 	}
@@ -491,10 +478,10 @@ func (s *Scheduler) Stats() Stats {
 		DequeuePolicy:   s.dequeue,
 		Queued:          s.queue.Len(),
 		InFlight:        s.inflight,
-		Served:          s.served,
-		Rejected:        s.rejected,
-		Shed:            s.shed,
-		Cancelled:       s.cancelled,
+		Served:          s.led.Served(),
+		Rejected:        s.led.Rejected(),
+		Shed:            s.led.Shed(),
+		Cancelled:       s.led.Dropped(),
 		MeanWaitMs:      s.waits.Mean(),
 		MaxWaitMs:       s.waits.Max(),
 		P95WaitMs:       s.waits.Percentile(0.95),
@@ -502,14 +489,14 @@ func (s *Scheduler) Stats() Stats {
 		PeakQueueDepth:  int(s.depths.Max()),
 		Batches:         s.batches,
 		BatchSizeCounts: append([]int(nil), s.batchCounts...),
-		KeyframesServed: s.keyframes,
-		WarpedServed:    s.warped,
+		KeyframesServed: s.led.Keyframes(),
+		WarpedServed:    s.led.Warped(),
 		ActiveSessions:  len(s.sessions),
 		PeakSessions:    s.peakSess,
 		ResumedSessions: s.resumed,
 	}
-	if s.served > 0 {
-		st.MeanInferMs = s.inferSum / float64(s.served)
+	if st.Served > 0 {
+		st.MeanInferMs = s.inferSum / float64(st.Served)
 	}
 	if s.batches > 0 {
 		st.MeanBatchSize = float64(s.batchJobs) / float64(s.batches)

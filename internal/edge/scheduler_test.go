@@ -321,6 +321,10 @@ func TestSchedulerColdSessionsProgressUnderHotFlood(t *testing.T) {
 		t.Errorf("conservation violated: offered %d != served %d + rejected %d + shed %d + cancelled %d",
 			offered, st.Served, st.Rejected, st.Shed, st.Cancelled)
 	}
+	l := s.Ledger()
+	if err := l.Check(0); err != nil || int64(l.Offered()) != offered {
+		t.Errorf("scheduler's own ledger after drain, callers offered %d: %+v: %v", offered, l, err)
+	}
 	t.Logf("hot served/rejected %d/%d; cold served/rejected %d/%d",
 		hotServed.Load(), hotRejected.Load(), coldServed.Load(), coldRejected.Load())
 }

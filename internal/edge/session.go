@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"edgeis/internal/metrics"
 	"edgeis/internal/segmodel"
 )
 
@@ -33,10 +34,11 @@ type Session struct {
 
 	// mu guards the counters and the guidance context below. It is never
 	// held together with the scheduler's mutex.
-	mu       sync.Mutex
-	served   int
-	rejected int
-	shed     int
+	mu sync.Mutex
+	// led counts the session's resolved requests — served, rejected, shed —
+	// for SessionStats. Nothing is offered to it and cancellations are not
+	// recorded: the law is checked on the scheduler's ledger, not here.
+	led      metrics.Ledger
 	inferSum float64
 	waitSum  float64
 	guided   int
@@ -126,16 +128,16 @@ func (sess *Session) Stats() SessionStats {
 		Remote:       sess.remote,
 		Key:          sess.key,
 		UptimeMs:     float64(time.Since(sess.started)) / float64(time.Millisecond),
-		Served:       sess.served,
-		Rejected:     sess.rejected,
-		Shed:         sess.shed,
+		Served:       sess.led.Served(),
+		Rejected:     sess.led.Rejected(),
+		Shed:         sess.led.Shed(),
 		Pending:      pending,
 		GuidedFrames: sess.guided,
 		ReusedPlans:  sess.reused,
 	}
-	if sess.served > 0 {
-		st.MeanInferMs = sess.inferSum / float64(sess.served)
-		st.MeanWaitMs = sess.waitSum / float64(sess.served)
+	if st.Served > 0 {
+		st.MeanInferMs = sess.inferSum / float64(st.Served)
+		st.MeanWaitMs = sess.waitSum / float64(st.Served)
 	}
 	return st
 }
@@ -161,35 +163,28 @@ func (sess *Session) decide(in segmodel.Input, g segmodel.Guidance) segmodel.Key
 	return sess.keyframes.Decide(in, g)
 }
 
-// lost tells the keyframe stream that the request carrying decision d
-// failed to reach an accelerator. Must not be called with the scheduler's
-// mutex held.
-func (sess *Session) lost(d segmodel.KeyframeDecision) {
+// lost resolves one request that failed to reach an accelerator with the
+// error its waiter gets — ErrQueueFull counts it rejected, ErrShed shed,
+// ErrClosed nothing — and tells the keyframe stream its decision d never
+// ran. Must not be called with the scheduler's mutex held.
+func (sess *Session) lost(d segmodel.KeyframeDecision, why error) {
 	sess.mu.Lock()
+	switch why {
+	case ErrQueueFull:
+		sess.led.Reject(1)
+	case ErrShed:
+		sess.led.ShedStale(1)
+	}
 	sess.keyframes.Lost(d)
 	sess.mu.Unlock()
 }
 
-// noteServed records one answered request's latencies.
+// noteServed records one answered request and its latencies.
 func (sess *Session) noteServed(inferMs, waitMs float64) {
 	sess.mu.Lock()
-	sess.served++
+	sess.led.Serve(1)
 	sess.inferSum += inferMs
 	sess.waitSum += waitMs
-	sess.mu.Unlock()
-}
-
-// noteRejected records one admission rejection.
-func (sess *Session) noteRejected() {
-	sess.mu.Lock()
-	sess.rejected++
-	sess.mu.Unlock()
-}
-
-// noteShed records one stale frame displaced by latest-wins admission.
-func (sess *Session) noteShed() {
-	sess.mu.Lock()
-	sess.shed++
 	sess.mu.Unlock()
 }
 

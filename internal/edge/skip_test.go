@@ -210,7 +210,7 @@ func TestLostKeyframeInvalidatesCache(t *testing.T) {
 	}
 	// ...but if a keyframe decision is lost, the cache must go cold again.
 	d3 := sess.decide(segmodel.Input{Width: 320, Height: 240}, nil) // resolution keyframe
-	sess.lost(d3)
+	sess.lost(d3, ErrClosed)
 	if d4 := sess.decide(segmodel.Input{Width: 320, Height: 240}, nil); !d4.Keyframe || d4.Reason != segmodel.KeyCold {
 		t.Fatalf("after lost keyframe: %+v, want cold keyframe", d4)
 	}
@@ -219,7 +219,7 @@ func TestLostKeyframeInvalidatesCache(t *testing.T) {
 	if d5.Keyframe {
 		t.Fatalf("unexpected keyframe %q", d5.Reason)
 	}
-	sess.lost(d5)
+	sess.lost(d5, ErrClosed)
 	if d6 := sess.decide(segmodel.Input{Width: 320, Height: 240}, nil); d6.Keyframe {
 		t.Fatalf("lost non-keyframe invalidated the cache: %+v", d6)
 	}

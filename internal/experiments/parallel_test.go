@@ -74,40 +74,6 @@ func TestRunCustomClipsMatchesRunClips(t *testing.T) {
 	}
 }
 
-// TestAllParallelDeterministic reproduces the headline guarantee: the full
-// RunAllExperiments sweep through the worker pool renders byte-identical
-// reports to a forced serial run on the same seeds. Skipped under -short
-// and under the race detector purely for runtime; the mechanism is covered
-// there by TestRunClipsParallelMatchesSerial.
-func TestAllParallelDeterministic(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full sweep is long")
-	}
-	if raceEnabled {
-		t.Skip("full sweep too slow under the race detector")
-	}
-	const seed, frames = 11, 66 // > WarmupFrames so accuracy lines are live
-
-	render := func() string {
-		var b strings.Builder
-		for _, r := range All(seed, frames) {
-			b.WriteString(r.Render())
-		}
-		return b.String()
-	}
-	var serialOut, parOut string
-	withWorkers(t, 1, func() { serialOut = render() })
-	withWorkers(t, 8, func() { parOut = render() })
-
-	if serialOut != parOut {
-		t.Fatalf("parallel sweep is not byte-identical to serial:\n--- serial ---\n%s\n--- parallel ---\n%s",
-			serialOut, parOut)
-	}
-	if !strings.Contains(serialOut, "Fig9") || !strings.Contains(serialOut, "Power") {
-		t.Errorf("sweep missing figures:\n%s", serialOut)
-	}
-}
-
 // TestParallelSpeedup checks the point of the pool: with >= 4 cores the
 // parallel sweep must beat a forced serial run. The 2x acceptance target is
 // asserted conservatively at 1.5x to stay robust on loaded CI machines.

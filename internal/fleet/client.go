@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"edgeis/internal/metrics"
 	"edgeis/internal/transport"
 )
 
@@ -52,14 +53,16 @@ func (c *Config) withDefaults() Config {
 	return cfg
 }
 
-// Stats is the fleet client's frame accounting. After Close (or terminal
-// failure) it satisfies the client-side fleet conservation law:
+// Stats is the fleet client's frame accounting — FleetClient.Ledger with the
+// buckets named at this boundary (Sent is offered, Delivered served,
+// ConnLost dropped) — plus placement state. After Close (or terminal
+// failure) the ledger passes Check(0); mid-run there are legitimately
+// in-flight frames in no bucket.
 //
-//	Sent == Delivered + Rejected + Shed + Migrated + ConnLost
-//
-// Migrated are frames accepted for sending but unresolved when their
-// connection died and the session moved to another replica — the in-flight
-// loss window of a migration, bounded and accounted rather than silent.
+// Delivered are results handed to the consumer of Results. Migrated are
+// frames accepted for sending but unresolved when their connection died and
+// the session moved to another replica — the in-flight loss window of a
+// migration, bounded and accounted rather than silent.
 // ConnLost are frames unresolved on the final connection (terminal failure
 // or user Close), the non-migration remainder.
 type Stats struct {
@@ -75,13 +78,6 @@ type Stats struct {
 	Failovers int
 	Down      int
 	Replica   string
-}
-
-// Conserved reports whether the accounting identity closes. Only
-// meaningful once the client is settled (closed or terminally failed);
-// mid-run there are legitimately in-flight frames in no bucket.
-func (s Stats) Conserved() bool {
-	return s.Sent == s.Delivered+s.Rejected+s.Shed+s.Migrated+s.ConnLost
 }
 
 // FleetClient is a transport.Client over a replica fleet: it resolves
@@ -107,14 +103,12 @@ type FleetClient struct {
 	epoch   int64 // highest delivered frame index, carried by resume
 	lastErr error
 
-	// Settled totals folded from connections that have ended. While cur is
-	// live its own counters are added on top by Stats.
-	sent      int
-	delivered int
-	rejected  int
-	shed      int
-	migrated  int
-	connLost  int
+	// led is the settled accounting of connections that have ended; while
+	// cur is live its own ledger is added on top (ledgerLocked). handed is
+	// how many of cur's results the pump has handed to Results: what cur
+	// delivered beyond that never reached this client's consumer.
+	led       metrics.Ledger
+	handed    int
 	failovers int
 }
 
@@ -203,10 +197,16 @@ func (fc *FleetClient) run() {
 			if int64(res.FrameIndex) > fc.epoch {
 				fc.epoch = int64(res.FrameIndex)
 			}
+			// Counted before the hand-over starts and taken back if the
+			// consumer is gone, as transport.Client does one hop down.
+			fc.handed++
 			fc.mu.Unlock()
 			select {
 			case fc.results <- res:
 			case <-fc.done:
+				fc.mu.Lock()
+				fc.handed--
+				fc.mu.Unlock()
 				return
 			}
 		}
@@ -262,27 +262,31 @@ func (fc *FleetClient) failover() bool {
 	return true
 }
 
-// foldLocked folds the current connection's settled counters into the
-// fleet totals and retires it. migrated classifies its unresolved frames:
-// lost to a completed migration, or terminally ConnLost. Idempotent per
-// connection (cur is nil once folded); callers hold fc.mu and must only
-// call after the connection's read loop has exited. foldLocked and Stats
-// are the audited fleet counter mutators the conservation analyzer admits.
+// curLedgerLocked is the serving connection's ledger as this client's
+// consumer sees it: results the connection delivered that the pump has not
+// handed on are pending again. Callers hold fc.mu with fc.cur non-nil.
+func (fc *FleetClient) curLedgerLocked() metrics.Ledger {
+	l := fc.cur.Ledger()
+	l.Unserve(l.Served() - fc.handed)
+	return l
+}
+
+// foldLocked settles the current connection's ledger into the fleet totals
+// and retires it. migrated classifies its unresolved frames: lost to a
+// completed migration, or terminally ConnLost. Idempotent per connection
+// (cur is nil once folded); callers hold fc.mu and must only call after the
+// connection's read loop and the pump's range over its results have ended.
 func (fc *FleetClient) foldLocked(migrated bool) {
-	c := fc.cur
-	if c == nil {
+	if fc.cur == nil {
 		return
 	}
-	fc.cur = nil
-	fc.sent += c.Sent()
-	fc.delivered += c.Delivered()
-	fc.rejected += c.Rejected()
-	fc.shed += c.Shed()
+	l := fc.curLedgerLocked()
+	l.Settle()
 	if migrated {
-		fc.migrated += c.ConnLost()
-	} else {
-		fc.connLost += c.ConnLost()
+		l.MigrateDropped()
 	}
+	fc.led.Add(l)
+	fc.cur, fc.handed = nil, 0
 }
 
 // Send queues a frame on the serving connection. False means the frame is
@@ -311,31 +315,38 @@ func (fc *FleetClient) Err() error {
 	return fc.lastErr
 }
 
-// Stats snapshots the fleet accounting: settled totals plus the live
-// connection's counters. See foldLocked for why Stats is in the audited
-// mutator set — it aggregates the live connection's counters into the
-// snapshot's same-named buckets.
+// Ledger snapshots the client-lifetime accounting: connections already
+// folded plus the live one.
+func (fc *FleetClient) Ledger() metrics.Ledger {
+	fc.mu.Lock()
+	defer fc.mu.Unlock()
+	return fc.ledgerLocked()
+}
+
+func (fc *FleetClient) ledgerLocked() metrics.Ledger {
+	l := fc.led
+	if fc.cur != nil {
+		l.Add(fc.curLedgerLocked())
+	}
+	return l
+}
+
+// Stats snapshots the fleet accounting and placement state.
 func (fc *FleetClient) Stats() Stats {
 	fc.mu.Lock()
 	defer fc.mu.Unlock()
-	st := Stats{
-		Sent:      fc.sent,
-		Delivered: fc.delivered,
-		Rejected:  fc.rejected,
-		Shed:      fc.shed,
-		Migrated:  fc.migrated,
-		ConnLost:  fc.connLost,
+	l := fc.ledgerLocked()
+	return Stats{
+		Sent:      l.Offered(),
+		Delivered: l.Served(),
+		Rejected:  l.Rejected(),
+		Shed:      l.Shed(),
+		Migrated:  l.Migrated(),
+		ConnLost:  l.Dropped(),
 		Failovers: fc.failovers,
 		Down:      len(fc.down),
 		Replica:   fc.curAddr,
 	}
-	if fc.cur != nil {
-		st.Sent += fc.cur.Sent()
-		st.Delivered += fc.cur.Delivered()
-		st.Rejected += fc.cur.Rejected()
-		st.Shed += fc.cur.Shed()
-	}
-	return st
 }
 
 // Close shuts the session down: the serving connection closes (settling

@@ -169,8 +169,8 @@ func TestFleetClientFailover(t *testing.T) {
 		t.Errorf("sent/delivered = %d/%d, want %d/%d", fst.Sent, fst.Delivered,
 			before+after, before+after)
 	}
-	if !fst.Conserved() {
-		t.Errorf("conservation violated: %+v", fst)
+	if err := fc.Ledger().Check(0); err != nil {
+		t.Error(err)
 	}
 	if fst.Down != 1 || fst.Failovers != 1 {
 		t.Errorf("down/failovers = %d/%d, want 1/1", fst.Down, fst.Failovers)
@@ -244,12 +244,60 @@ func TestFleetClientInFlightLossAccounted(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := fc.Stats()
-	if !st.Conserved() {
-		t.Errorf("conservation violated: %+v", st)
+	if err := fc.Ledger().Check(0); err != nil {
+		t.Error(err)
 	}
 	if st.Delivered+st.Migrated+st.ConnLost != burst+1 || st.Migrated == 0 {
 		t.Errorf("delivered/migrated/connLost = %d/%d/%d over %d frames; want some migrated and all accounted",
 			st.Delivered, st.Migrated, st.ConnLost, burst+1)
+	}
+}
+
+// TestFleetDeliveredMeansHandedOver is transport's hand-over test one hop up:
+// with nobody reading, the fleet's 16-slot results channel fills, the pump
+// holds the 17th result and the connection's own channel buffers the rest.
+// Close drops all of those; Delivered must be what a consumer can still
+// drain, and the others ConnLost.
+func TestFleetDeliveredMeansHandedOver(t *testing.T) {
+	srv := transport.NewServer(segmodel.New(segmodel.YOLACT), transport.WithConnPipeline(8))
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = srv.Close() }()
+	fc, err := DialFleet(Config{
+		Addrs:         []string{addr.String()},
+		SessionKey:    "fleet-handover",
+		ClientOptions: []transport.ClientOption{transport.WithSendQueue(64)},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const frames = 24
+	for i := 0; i < frames; i++ {
+		if !fc.Send(testFrame(i)) {
+			t.Fatalf("Send(%d) refused", i)
+		}
+	}
+	waitFor(t, "a result held mid-hand-over", func() bool {
+		return fc.Stats().Delivered >= cap(fc.results)+1
+	})
+	if err := fc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	received := 0
+	for range fc.Results() {
+		received++
+	}
+	st := fc.Stats()
+	if received != st.Delivered {
+		t.Errorf("consumer received %d results, Delivered = %d", received, st.Delivered)
+	}
+	if err := fc.Ledger().Check(0); err != nil {
+		t.Error(err)
+	}
+	if st.Sent != frames || st.ConnLost != frames-received {
+		t.Errorf("sent %d frames, consumer received %d: %+v", frames, received, st)
 	}
 }
 

@@ -22,7 +22,3 @@ func TestGoroLeak(t *testing.T) {
 func TestWgAdd(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(), lint.WgAdd, "wgfix")
 }
-
-func TestConservation(t *testing.T) {
-	analysistest.Run(t, analysistest.TestData(), lint.Conservation, "loadgen", "metrics", "fleet")
-}

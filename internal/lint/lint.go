@@ -3,9 +3,8 @@
 // claims rest on: no nondeterministic map iteration in seed-pinned code,
 // no wall-clock reads where virtual time must be used, no global math/rand
 // state shared across experiment arms, no exact float equality in
-// scheduler/geometry ordering code, lock discipline and goroutine-lifetime
-// rules in the serving stack, and the no-silent-loss conservation law
-// (accounting counters only move through their audited mutators).
+// scheduler/geometry ordering code, and lock discipline and
+// goroutine-lifetime rules in the serving stack.
 //
 // The package deliberately mirrors the golang.org/x/tools/go/analysis API
 // (Analyzer, Pass, Diagnostic, analysistest-style fixtures) but is built on
@@ -27,7 +26,6 @@
 //	//edgeis:lockheld  <why blocking while holding this mutex is safe>
 //	//edgeis:detached  <why this goroutine needs no shutdown path>
 //	//edgeis:wgadd     <why Add inside the goroutine cannot race Wait>
-//	//edgeis:counter   <why this counter write may bypass the mutators>
 //
 // Unknown //edgeis: directives and directives without a reason are
 // themselves reported. So is a well-formed directive that no longer
@@ -128,7 +126,6 @@ var knownDirectives = map[string]bool{
 	"lockheld":   true,
 	"detached":   true,
 	"wgadd":      true,
-	"counter":    true,
 }
 
 // parseDirectives extracts //edgeis: directives from a file's comments.
@@ -240,7 +237,7 @@ func auditStaleDirectives(pass *Pass, analyzers []*Analyzer) {
 
 // All returns the full analyzer suite in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{MapIter, WallTime, SeedRand, FloatEq, LockBalance, LockBlock, GoroLeak, WgAdd, Conservation}
+	return []*Analyzer{MapIter, WallTime, SeedRand, FloatEq, LockBalance, LockBlock, GoroLeak, WgAdd}
 }
 
 // Run type-checks nothing itself; it applies the given analyzers to an

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"edgeis/internal/codec"
+	"edgeis/internal/metrics"
 	"edgeis/internal/pipeline"
 	"edgeis/internal/scene"
 	"edgeis/internal/transport"
@@ -31,6 +32,7 @@ type TCPBackend struct {
 	// folded into DroppedOffloads and outstanding.
 	seenRejects int
 	seenSheds   int
+	led         metrics.Ledger
 	stats       pipeline.BackendStats
 	err         error
 
@@ -75,8 +77,9 @@ func (b *TCPBackend) Bind(frames []*scene.Frame, queueDepth int) {
 // and the loss is accounted, never silent.
 func (b *TCPBackend) Submit(req *pipeline.OffloadRequest, sendAt float64) []pipeline.ScheduledResult {
 	msg := ToFrameMsg(req, b.frames[req.FrameIndex], b.grid, b.seed)
+	b.led.Offer(1)
 	if !b.client.Send(msg) {
-		b.stats.CountDropped(1)
+		b.led.Drop(1)
 		return nil
 	}
 	b.stats.Submitted++
@@ -96,7 +99,7 @@ func (b *TCPBackend) reconcileRejects() {
 		return
 	}
 	b.seenRejects, b.seenSheds = rejects, sheds
-	b.stats.CountDropped(fresh)
+	b.led.Drop(fresh)
 	b.outstanding -= fresh
 	if b.outstanding < 0 {
 		b.outstanding = 0
@@ -140,10 +143,10 @@ func (b *TCPBackend) take(res *transport.ResultMsg, now float64) (pipeline.Sched
 		b.outstanding--
 	}
 	if int(res.FrameIndex) < 0 || int(res.FrameIndex) >= len(b.frames) {
-		b.stats.CountDiscarded()
+		b.stats.DiscardedResults++
 		return pipeline.ScheduledResult{}, false
 	}
-	b.stats.Results++
+	b.led.Serve(1)
 	b.stats.InferMsSum += res.InferMs
 	return pipeline.ScheduledResult{At: now, Res: ToEdgeResult(res)}, true
 }
@@ -197,7 +200,7 @@ func (b *TCPBackend) Err() error { return b.err }
 // reported since the last call.
 func (b *TCPBackend) Stats() pipeline.BackendStats {
 	b.reconcileRejects()
-	return b.stats
+	return b.stats.WithLedger(b.led)
 }
 
 // Close closes the underlying client.

@@ -65,63 +65,27 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// agg accumulates fleet-wide accounting from the session goroutines.
+// agg accumulates fleet-wide accounting from the session goroutines: each
+// session keeps its own ledger and absorbs it when it finishes, latencies
+// are recorded as results arrive. Both methods take a.mu, so callers must
+// not hold it — or any other lock.
 type agg struct {
-	mu                                       sync.Mutex
-	offered, served, rejected, shed, dropped int
-	// migrated counts frames lost in flight to a replica kill.
-	migrated int
+	mu       sync.Mutex
+	led      metrics.Ledger
 	servedBy []int
 	lat      metrics.Dist
 }
 
-// noteServed, noteRejected, noteShed, noteDropped and absorb are the
-// audited mutators for the driver's fleet accounting: every outcome a
-// session goroutine observes moves through exactly one of them, which is
-// what lets the post-run reconciliation against the scheduler's (or
-// server's) own counters treat any difference as a real loss. They take
-// a.mu internally, so callers must not hold it — or any other lock.
-
-func (a *agg) noteServed(sess int, latMs float64) {
+func (a *agg) noteLatency(latMs float64) {
 	a.mu.Lock()
-	a.served++
-	a.servedBy[sess]++
 	a.lat.Add(latMs)
 	a.mu.Unlock()
 }
 
-func (a *agg) noteRejected() {
+func (a *agg) absorb(sess int, l metrics.Ledger) {
 	a.mu.Lock()
-	a.rejected++
-	a.mu.Unlock()
-}
-
-func (a *agg) noteShed() {
-	a.mu.Lock()
-	a.shed++
-	a.mu.Unlock()
-}
-
-func (a *agg) noteDropped() {
-	a.mu.Lock()
-	a.dropped++
-	a.mu.Unlock()
-}
-
-func (a *agg) noteMigrated(n int) {
-	a.mu.Lock()
-	a.migrated += n
-	a.mu.Unlock()
-}
-
-// absorb folds a session goroutine's local tallies into the fleet totals
-// when the session finishes.
-func (a *agg) absorb(offered, rejected, shed, dropped int) {
-	a.mu.Lock()
-	a.offered += offered
-	a.rejected += rejected
-	a.shed += shed
-	a.dropped += dropped
+	a.led.Add(l)
+	a.servedBy[sess] = l.Served()
 	a.mu.Unlock()
 }
 
@@ -224,9 +188,11 @@ func edgeConfig(p loadgen.Profile, o Options) (edge.Config, error) {
 	return cfg, err
 }
 
-// newSLO fills the accounting and latency half of the report. Replicas is
-// only set under a sharded profile, matching the simulator's report schema.
-func newSLO(p loadgen.Profile, target string, a *agg, horizonMs float64) *loadgen.SLO {
+// newSLO fills the accounting and latency half of the report; replicas is
+// the schedulers' summed ledger (zero against an external server), whose
+// keyframe split the delivery-side accounting adopts. Replicas is only set under a
+// sharded profile, matching the simulator's report schema.
+func newSLO(p loadgen.Profile, target string, a *agg, replicas metrics.Ledger, horizonMs float64) *loadgen.SLO {
 	min, max := a.fairness()
 	slo := &loadgen.SLO{
 		Profile:        p.Name,
@@ -235,13 +201,6 @@ func newSLO(p loadgen.Profile, target string, a *agg, horizonMs float64) *loadge
 		Sessions:       p.Sessions,
 		Accelerators:   p.Accelerators,
 		QueueDepth:     p.QueueDepth,
-		Offered:        a.offered,
-		Served:         a.served,
-		Rejected:       a.rejected,
-		Shed:           a.shed,
-		Dropped:        a.dropped,
-		Migrated:       a.migrated,
-		ConservationOK: a.offered == a.served+a.rejected+a.shed+a.dropped+a.migrated,
 		LatMeanMs:      round3(a.lat.Mean()),
 		LatP50Ms:       round3(a.lat.Quantile(0.50)),
 		LatP95Ms:       round3(a.lat.Quantile(0.95)),
@@ -255,16 +214,11 @@ func newSLO(p loadgen.Profile, target string, a *agg, horizonMs float64) *loadge
 	if p.Sharded() {
 		slo.Replicas = p.Replicas
 	}
+	l := a.led
+	l.Classify(replicas.Keyframes(), replicas.Warped())
+	slo.Account(l)
 	return slo
 }
 
 // round3 matches the simulator's report quantization.
 func round3(v float64) float64 { return math.Round(v*1000) / 1000 }
-
-// keyframeRate matches the simulator's keyframe-fraction rounding.
-func keyframeRate(keyframes, warped int) float64 {
-	if keyframes+warped == 0 {
-		return 0
-	}
-	return round3(float64(keyframes) / float64(keyframes+warped))
-}

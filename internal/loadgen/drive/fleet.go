@@ -15,6 +15,7 @@ import (
 	"edgeis/internal/edge"
 	"edgeis/internal/fleet"
 	"edgeis/internal/loadgen"
+	"edgeis/internal/metrics"
 	"edgeis/internal/netsim"
 	"edgeis/internal/segmodel"
 	"edgeis/internal/transport"
@@ -94,8 +95,20 @@ func (h *sessHandle) current() (*edge.Session, int) {
 	return h.sess, h.gen
 }
 
-// foldSchedStats aggregates per-replica scheduler telemetry into the SLO:
-// sums for counters, maxes for peaks, served-weighted means for the wait
+// checkReplicas checks the drained replicas' summed ledger and, because
+// Ledger.Check cannot know the policy and skips the partition law on an
+// unclassified ledger, that a run with the keyframe policy on classified
+// what it served.
+func checkReplicas(p loadgen.Profile, replicas metrics.Ledger) error {
+	if p.SkipCompute() && replicas.Served() > 0 && replicas.Keyframes()+replicas.Warped() == 0 {
+		return fmt.Errorf("keyframe policy on but none of %d served frames classified", replicas.Served())
+	}
+	return replicas.Check(0)
+}
+
+// foldSchedStats aggregates per-replica scheduler telemetry into the SLO
+// (the frame accounting arrives separately, as summed ledgers): sums for
+// batch counts, maxes for peaks, served-weighted means for the wait
 // and depth averages (an idle replica should not drag the fleet mean down).
 func foldSchedStats(slo *loadgen.SLO, sts []edge.Stats) {
 	var served, batches int
@@ -114,8 +127,6 @@ func foldSchedStats(slo *loadgen.SLO, sts []edge.Stats) {
 		}
 		batches += st.Batches
 		batchJobs += st.MeanBatchSize * float64(st.Batches)
-		slo.KeyframesServed += st.KeyframesServed
-		slo.WarpedServed += st.WarpedServed
 	}
 	if served > 0 {
 		slo.WaitMeanMs = round3(waitMean / float64(served))
@@ -127,7 +138,6 @@ func foldSchedStats(slo *loadgen.SLO, sts []edge.Stats) {
 	if batches > 0 {
 		slo.MeanBatchSize = round3(batchJobs / float64(batches))
 	}
-	slo.KeyframeRate = keyframeRate(slo.KeyframesServed, slo.WarpedServed)
 }
 
 // RunScheduler replays the profile against real edge.Schedulers in process,
@@ -192,28 +202,27 @@ func RunScheduler(p loadgen.Profile, opts Options) (*loadgen.SLO, error) {
 			}
 			clip := p.ClipFor(i)
 			up := netsim.NewLink(p.LinkFor(i).NetProfile(), p.Seed+int64(i)*2+1)
-			var outstanding, dropped, offered int
+			// led is the session's accounting, resolved from the request
+			// goroutines under mu; its Pending is the outstanding count.
+			var led metrics.Ledger
+			var mu sync.Mutex
 			var reqs sync.WaitGroup
-			var mu sync.Mutex // outstanding, decremented from request goroutines
 			for _, genAt := range p.SessionArrivals(i) {
 				sleepUntil(start, genAt, o.TimeScale)
-				offered++
 				// Placement is resolved at generation time, like picking the
 				// socket to uplink into: a frame bound for a replica that
 				// dies mid-flight migrates, it does not retroactively reroute.
 				sess, gen := h.current()
-				if sess == nil {
-					dropped++ // whole fleet dead: nowhere to connect
-					continue
-				}
 				mu.Lock()
-				atCap := outstanding >= p.MaxOutstanding
-				if !atCap {
-					outstanding++
+				// Dropped client-side: whole fleet dead (nowhere to connect)
+				// or the session is at its outstanding cap.
+				drop := sess == nil || led.Pending() >= p.MaxOutstanding
+				led.Offer(1)
+				if drop {
+					led.Drop(1)
 				}
 				mu.Unlock()
-				if atCap {
-					dropped++
+				if drop {
 					continue
 				}
 				upMs := up.TransferMs(genAt, clip.PayloadBytes)
@@ -227,32 +236,35 @@ func RunScheduler(p loadgen.Profile, opts Options) (*loadgen.SLO, error) {
 					// resolutions.
 					in := segmodel.Input{Width: 64 + 16*(i%len(p.Clips)), Height: 48, Seed: int64(i)}
 					_, _, err := sess.Infer(in, nil)
-					doneMs := msSince(start)
+					if err == nil {
+						a.noteLatency(msSince(start) - genAt*o.TimeScale)
+					}
+					mu.Lock()
 					switch {
 					case err == nil:
-						a.noteServed(i, doneMs-genAt*o.TimeScale)
+						led.Serve(1)
 					case errors.Is(err, edge.ErrQueueFull):
-						a.noteRejected()
+						led.Reject(1)
 					case errors.Is(err, edge.ErrShed):
-						a.noteShed()
+						led.ShedStale(1)
 					case errors.Is(err, edge.ErrClosed):
 						// The replica died under this frame: the frame is
 						// lost to the migration window, the session moves on.
-						a.noteMigrated(1)
-						failover(gen)
+						led.Migrate(1)
 					default:
-						a.noteDropped()
+						led.Drop(1)
 					}
-					mu.Lock()
-					outstanding--
 					mu.Unlock()
+					if errors.Is(err, edge.ErrClosed) {
+						failover(gen)
+					}
 				}(genAt, upMs, sess, gen)
 			}
 			reqs.Wait()
 			if sess, _ := h.current(); sess != nil {
 				sess.Close()
 			}
-			a.absorb(offered, 0, 0, dropped)
+			a.absorb(i, led)
 		}(i)
 	}
 	fleetWg.Wait()
@@ -260,28 +272,21 @@ func RunScheduler(p loadgen.Profile, opts Options) (*loadgen.SLO, error) {
 	killers.Wait()
 
 	sts := make([]edge.Stats, p.Replicas)
-	var served, rejected, shed, cancelled, kf, warped int
+	var replicas metrics.Ledger
 	for r, sched := range scheds {
 		sts[r] = sched.Stats()
 		if err := sched.Close(); err != nil {
 			return nil, err
 		}
-		served += sts[r].Served
-		rejected += sts[r].Rejected
-		shed += sts[r].Shed
-		cancelled += sts[r].Cancelled
-		kf += sts[r].KeyframesServed
-		warped += sts[r].WarpedServed
+		replicas.Add(sched.Ledger())
 	}
-	if served != a.served || rejected != a.rejected || shed != a.shed || cancelled != 0 {
-		return nil, fmt.Errorf("drive scheduler: accounting mismatch: driver served/rejected/shed %d/%d/%d, replicas served/rejected/shed/cancelled %d/%d/%d/%d",
-			a.served, a.rejected, a.shed, served, rejected, shed, cancelled)
+	if err := checkReplicas(p, replicas); err != nil {
+		return nil, fmt.Errorf("drive scheduler: replicas: %w", err)
 	}
-	if p.SkipCompute() && kf+warped != served {
-		return nil, fmt.Errorf("drive scheduler: keyframe partition violated: keyframes %d + warped %d != served %d",
-			kf, warped, served)
+	if replicas.Served() != a.led.Served() || replicas.Rejected() != a.led.Rejected() || replicas.Shed() != a.led.Shed() || replicas.Dropped() != 0 {
+		return nil, fmt.Errorf("drive scheduler: accounting mismatch: driver %+v, replicas %+v", a.led, replicas)
 	}
-	slo := newSLO(p, "scheduler", a, horizon)
+	slo := newSLO(p, "scheduler", a, replicas, horizon)
 	foldSchedStats(slo, sts)
 	return slo, nil
 }
@@ -378,20 +383,15 @@ func RunTCP(p loadgen.Profile, opts Options) (*loadgen.SLO, error) {
 					}
 					mu.Unlock()
 					if ok {
-						a.noteServed(i, msSince(start)-at)
+						a.noteLatency(msSince(start) - at)
 					}
 				}
 			}()
 
-			outstandingNow := func() int {
-				st := fc.Stats()
-				return st.Sent - st.Delivered - st.Rejected - st.Shed - st.Migrated - st.ConnLost
-			}
-			sent, dropped, offered := 0, 0, 0
+			sent, dropped := 0, 0
 			for k, genAt := range p.SessionArrivals(i) {
 				sleepUntil(start, genAt, o.TimeScale)
-				offered++
-				if outstandingNow() >= p.MaxOutstanding {
+				if fc.Ledger().Pending() >= p.MaxOutstanding {
 					dropped++
 					continue
 				}
@@ -420,11 +420,15 @@ func RunTCP(p loadgen.Profile, opts Options) (*loadgen.SLO, error) {
 
 			// Drain: every sent frame resolves into a result, a wire-level
 			// reject/shed, or a migration/connection loss; Close settles the
-			// stragglers into ConnLost.
+			// stragglers into ConnLost. The wait is on what the reader above
+			// has consumed, so a result still being handed over when the
+			// client has nothing pending is served, not closed on.
 			deadline := time.Now().Add(o.DrainTimeout)
 			for time.Now().Before(deadline) {
-				st := fc.Stats()
-				if st.Delivered+st.Rejected+st.Shed+st.Migrated+st.ConnLost >= st.Sent {
+				mu.Lock()
+				consumed := served
+				mu.Unlock()
+				if l := fc.Ledger(); l.Pending() == 0 && l.Served() == consumed {
 					break
 				}
 				time.Sleep(2 * time.Millisecond)
@@ -432,14 +436,20 @@ func RunTCP(p loadgen.Profile, opts Options) (*loadgen.SLO, error) {
 			fc.Close()
 			readers.Wait()
 
-			st := fc.Stats()
-			if !st.Conserved() || st.Sent != sent || st.Delivered != served {
-				sessErrs[i] = fmt.Errorf("drive tcp: session %d accounting leak: driver sent/served %d/%d, client %+v",
-					i, sent, served, st)
+			l := fc.Ledger()
+			if err := l.Check(0); err != nil {
+				sessErrs[i] = fmt.Errorf("drive tcp: session %d: %w", i, err)
 				return
 			}
-			a.noteMigrated(st.Migrated)
-			a.absorb(offered, st.Rejected, st.Shed, dropped+st.ConnLost)
+			if l.Offered() != sent || l.Served() != served {
+				sessErrs[i] = fmt.Errorf("drive tcp: session %d accounting leak: driver sent/served %d/%d, client %+v",
+					i, sent, served, l)
+				return
+			}
+			// Frames that never left the client are offered and dropped here.
+			l.Offer(dropped)
+			l.Drop(dropped)
+			a.absorb(i, l)
 		}(i)
 	}
 	fleetWg.Wait()
@@ -451,38 +461,32 @@ func RunTCP(p loadgen.Profile, opts Options) (*loadgen.SLO, error) {
 		}
 	}
 
-	slo := newSLO(p, "tcp", a, horizon)
-	if servers == nil {
-		return slo, nil // external server: nothing to reconcile against
-	}
 	sts := make([]edge.Stats, len(servers))
-	var served, rejected, shed, cancelled, kf, warped, resumed int
+	var replicas metrics.Ledger
+	resumed := 0
 	for r := range servers {
 		closeSrv(r)
 		sts[r] = servers[r].Scheduler().Stats()
-		served += sts[r].Served
-		rejected += sts[r].Rejected
-		shed += sts[r].Shed
-		cancelled += sts[r].Cancelled
-		kf += sts[r].KeyframesServed
-		warped += sts[r].WarpedServed
+		replicas.Add(servers[r].Scheduler().Ledger())
 		resumed += sts[r].ResumedSessions
+	}
+	slo := newSLO(p, "tcp", a, replicas, horizon)
+	if servers == nil {
+		return slo, nil // external server: nothing to reconcile against
+	}
+	if err := checkReplicas(p, replicas); err != nil {
+		return nil, fmt.Errorf("drive tcp: replicas: %w", err)
 	}
 	// The replicas must have resolved at least what the clients saw; a
 	// killed replica legitimately served frames whose results died with its
 	// sockets (the clients count those migrated).
-	if served+rejected+shed+cancelled < a.served+a.rejected+a.shed {
-		return nil, fmt.Errorf("drive tcp: accounting mismatch: clients saw served/rejected/shed %d/%d/%d, replicas served/rejected/shed/cancelled %d/%d/%d/%d",
-			a.served, a.rejected, a.shed, served, rejected, shed, cancelled)
-	}
-	if p.SkipCompute() && kf+warped != served {
-		return nil, fmt.Errorf("drive tcp: keyframe partition violated: keyframes %d + warped %d != served %d",
-			kf, warped, served)
+	if replicas.Offered() < a.led.Served()+a.led.Rejected()+a.led.Shed() {
+		return nil, fmt.Errorf("drive tcp: accounting mismatch: clients saw %+v, replicas resolved %+v", a.led, replicas)
 	}
 	// Migrated frames imply completed failovers, and every completed
 	// failover lands a resume handshake on a survivor.
-	if a.migrated > 0 && resumed == 0 && len(fs.alive()) > 0 {
-		return nil, fmt.Errorf("drive tcp: %d frames migrated but no replica adopted a session", a.migrated)
+	if a.led.Migrated() > 0 && resumed == 0 && len(fs.alive()) > 0 {
+		return nil, fmt.Errorf("drive tcp: %d frames migrated but no replica adopted a session", a.led.Migrated())
 	}
 	foldSchedStats(slo, sts)
 	return slo, nil

@@ -15,8 +15,7 @@
 //   - The wall-clock drivers (package loadgen/drive) replay the same
 //     profiles against the real edge.Scheduler in-process and against
 //     transport.Server over real sockets, with reconciled accounting so the
-//     no-silent-loss law offered == served + rejected + shed + dropped +
-//     migrated holds there too.
+//     no-silent-loss law (metrics.Ledger.Check) holds there too.
 //
 // A workload Profile assigns each synthetic session a clip class (payload
 // and inference cost), an arrival process (steady, bursty or ramp) and a

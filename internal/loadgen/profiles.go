@@ -27,12 +27,12 @@ import "fmt"
 //     determinism/conservation check.
 //   - ci-smoke-skip: ci-smoke with the feature cache enabled, so the CI
 //     smoke also pins skip-compute determinism and the keyframe partition
-//     law (keyframes + warped == served).
+//     law.
 //   - ci-smoke-fleet: the ci-smoke fleet sharded over 3 contended
 //     replicas (FPS raised so each shard runs saturated) with one killed
 //     mid-run, so the blocking CI also pins failover determinism and the
-//     fleet conservation law (offered == served + rejected + shed +
-//     dropped + migrated — a replica death loses zero frames silently).
+//     no-silent-loss law with its migrated bucket in use (a replica death
+//     loses zero frames silently).
 //   - fleet-3x / fleet-3x-kill1 / fleet-solo-x6: the sharding arm. A
 //     near-saturated steady street fleet on 3 replicas of 2 accelerators
 //     (healthy, then with replica 1 killed at half-run) against one edge

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"strings"
+
+	"edgeis/internal/metrics"
 )
 
 // SLO is one run's machine-readable serving report — the schema of each
@@ -11,7 +13,7 @@ import (
 // reconciled into exactly one of served, rejected (edge admission reject),
 // shed (latest-wins displacement of the session's own stale frame) or
 // dropped (client-side shed or lost at teardown); ConservationOK records
-// that the law offered == served + rejected + shed + dropped held.
+// that the run's metrics.Ledger passed Check.
 type SLO struct {
 	Profile string `json:"profile"`
 	// Target names the execution mode: "sim" (deterministic virtual time),
@@ -34,8 +36,7 @@ type SLO struct {
 	// Migrated counts frames lost in flight to replica failure — accepted
 	// by the client but still queued, staged, on an accelerator or in
 	// uplink flight when their replica died; it stays zero (and absent)
-	// outside fleet profiles, and the law extends to
-	// offered == served + rejected + shed + dropped + migrated.
+	// outside fleet profiles.
 	Offered        int  `json:"offered"`
 	Served         int  `json:"served"`
 	Rejected       int  `json:"rejected"`
@@ -95,27 +96,37 @@ type SLO struct {
 // underlying computation is already deterministic.
 func round3(v float64) float64 { return math.Round(v*1000) / 1000 }
 
-// keyframeRate is the keyframe fraction of served frames under an enabled
-// feature cache (0 when nothing was partitioned).
-func keyframeRate(keyframes, warped int) float64 {
-	if keyframes+warped == 0 {
-		return 0
+// Account fills the frame-accounting fields from a run's settled ledger —
+// the one place an SLO's counters are written, for every target. A
+// wall-clock driver's ledger is delivery-side and carries the keyframe split
+// its replicas counted (Ledger.Classify).
+func (s *SLO) Account(l metrics.Ledger) {
+	s.Offered, s.Served, s.Rejected = l.Offered(), l.Served(), l.Rejected()
+	s.Shed, s.Dropped, s.Migrated = l.Shed(), l.Dropped(), l.Migrated()
+	s.ConservationOK = l.Check(0) == nil
+	s.KeyframesServed, s.WarpedServed = l.Keyframes(), l.Warped()
+	if part := l.Keyframes() + l.Warped(); part > 0 {
+		s.KeyframeRate = round3(float64(l.Keyframes()) / float64(part))
 	}
-	return round3(float64(keyframes) / float64(keyframes+warped))
 }
 
-// Check verifies the conservation law and basic sanity; it returns a
-// descriptive error naming the violated invariant.
+// Check verifies both accounting laws (metrics.Ledger.Check over the
+// report's own fields) and basic sanity; it returns a descriptive error
+// naming the violated invariant.
 func (s *SLO) Check() error {
-	if s.Offered != s.Served+s.Rejected+s.Shed+s.Dropped+s.Migrated {
-		return fmt.Errorf("loadgen %s/%s: conservation violated: offered %d != served %d + rejected %d + shed %d + dropped %d + migrated %d",
-			s.Profile, s.Target, s.Offered, s.Served, s.Rejected, s.Shed, s.Dropped, s.Migrated)
+	var l metrics.Ledger
+	l.Offer(s.Offered)
+	l.Serve(s.Served)
+	l.Reject(s.Rejected)
+	l.ShedStale(s.Shed)
+	l.Drop(s.Dropped)
+	l.Migrate(s.Migrated)
+	l.Classify(s.KeyframesServed, s.WarpedServed)
+	if err := l.Check(0); err != nil {
+		return fmt.Errorf("loadgen %s/%s: %w", s.Profile, s.Target, err)
 	}
 	if !s.ConservationOK {
 		return fmt.Errorf("loadgen %s/%s: run flagged conservation_ok=false", s.Profile, s.Target)
-	}
-	if s.Served < 0 || s.Rejected < 0 || s.Shed < 0 || s.Dropped < 0 || s.Migrated < 0 {
-		return fmt.Errorf("loadgen %s/%s: negative accounting: %+v", s.Profile, s.Target, s)
 	}
 	if s.Migrated > 0 && s.Replicas <= 1 {
 		return fmt.Errorf("loadgen %s/%s: migrated %d frames with no replica fleet",
@@ -124,22 +135,6 @@ func (s *SLO) Check() error {
 	if s.ServedMin > s.ServedMax || s.FairnessSpread != s.ServedMax-s.ServedMin {
 		return fmt.Errorf("loadgen %s/%s: fairness fields inconsistent: min %d max %d spread %d",
 			s.Profile, s.Target, s.ServedMin, s.ServedMax, s.FairnessSpread)
-	}
-	if s.KeyframesServed < 0 || s.WarpedServed < 0 {
-		return fmt.Errorf("loadgen %s/%s: negative skip-compute accounting: keyframes %d warped %d",
-			s.Profile, s.Target, s.KeyframesServed, s.WarpedServed)
-	}
-	// Skip-compute partition law: when the feature cache classified frames,
-	// every served frame is exactly one of keyframe or warped. Under a
-	// fleet kill the partition is counted where the work happened (the
-	// edge), while Served counts deliveries: a killed replica may have
-	// computed frames whose results died with its sockets, so the partition
-	// may exceed Served by at most the migrated loss.
-	if part := s.KeyframesServed + s.WarpedServed; part > 0 {
-		if part < s.Served || part > s.Served+s.Migrated {
-			return fmt.Errorf("loadgen %s/%s: keyframe partition violated: keyframes %d + warped %d outside [served %d, served+migrated %d]",
-				s.Profile, s.Target, s.KeyframesServed, s.WarpedServed, s.Served, s.Served+s.Migrated)
-		}
 	}
 	return nil
 }

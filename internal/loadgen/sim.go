@@ -107,12 +107,13 @@ type simSession struct {
 	// (Profile.SessionArrivals) and nextGen indexes the next entry; the live
 	// drivers replay the same schedule, so offered counts match across
 	// targets.
-	arrivals    []float64
-	nextGen     int
-	up, down    *netsim.Link
-	outstanding int
-	lane        edge.Lane[*simJob]
-	served      int
+	arrivals []float64
+	nextGen  int
+	up, down *netsim.Link
+	lane     edge.Lane[*simJob]
+	// led is the session's frame accounting; its Pending is the mobile's
+	// outstanding-offload count, and the run's SLO is the sum over sessions.
+	led metrics.Ledger
 	// replica is the edge shard serving the session: rendezvous-placed at
 	// start, re-placed among survivors when its replica dies (-1 once the
 	// whole fleet is dead — further frames drop client-side, the mobile
@@ -153,16 +154,7 @@ type sim struct {
 	edges   []*simEdge
 	edgeRng *rand.Rand
 
-	offered, served, rejected, shed, dropped int
-	// migrated counts frames lost in flight to replica failure: queued,
-	// staged or on an accelerator when their replica died, or uplinked
-	// into a dead socket. The fleet conservation law is
-	// offered == served + rejected + shed + dropped + migrated.
-	migrated           int
 	batches, batchJobs int
-	// keyframes/warped partition served when the profile enables
-	// skip-compute (both stay zero otherwise).
-	keyframes, warped  int
 	lat, waits, depths metrics.Dist
 }
 
@@ -252,38 +244,6 @@ func (s *sim) push(e event) {
 	heap.Push(&s.heap, e)
 }
 
-// Counter mutators: the audited set the conservation analyzer admits for
-// the simulator's SLO counters. The sim is single-goroutine, so these add
-// no locking — only the guarantee that every movement between outcome
-// classes (offered == served + rejected + shed + dropped) is one greppable
-// call site.
-
-func (s *sim) countOffered()  { s.offered++ }
-func (s *sim) countDropped()  { s.dropped++ }
-func (s *sim) countRejected() { s.rejected++ }
-func (s *sim) countShed()     { s.shed++ }
-
-// countMigrated moves n frames into the migrated class: accepted by the
-// client, lost with a replica. Every call site is one of the four ways a
-// replica death loses frames (queued, staged, on-accelerator, in uplink
-// flight).
-func (s *sim) countMigrated(n int) { s.migrated += n }
-
-// countServed moves one frame into the served class on both the fleet and
-// per-session tallies, keeping the fairness report consistent with the SLO.
-func (s *sim) countServed(ss *simSession) {
-	ss.served++
-	s.served++
-}
-
-// countKeyframes and countWarped partition served frames by skip-compute
-// cost shape; only called when the profile enables the feature cache, so
-// KeyframesServed + WarpedServed == Served exactly when enabled.
-
-func (s *sim) countKeyframes(n int) { s.keyframes += n }
-
-func (s *sim) countWarped(n int) { s.warped += n }
-
 // jobCost is the nominal accelerator cost of one job's cost shape.
 func (s *sim) jobCost(j *simJob) float64 {
 	clip := s.sess[j.sess].clip
@@ -298,16 +258,16 @@ func (s *sim) jobCost(j *simJob) float64 {
 // pacing toward the session's placed replica.
 func (s *sim) generate(e event) {
 	ss := s.sess[e.sess]
-	s.countOffered()
+	atCap := ss.led.Pending() >= s.p.MaxOutstanding
+	ss.led.Offer(1)
 	ss.nextGen++
 	if ss.nextGen < len(ss.arrivals) {
 		s.push(event{at: ss.arrivals[ss.nextGen], kind: evGen, sess: e.sess})
 	}
-	if ss.outstanding >= s.p.MaxOutstanding || ss.replica < 0 {
-		s.countDropped()
+	if atCap || ss.replica < 0 {
+		ss.led.Drop(1)
 		return
 	}
-	ss.outstanding++
 	upMs := ss.up.TransferMs(e.at, ss.clip.PayloadBytes)
 	s.push(event{at: e.at + upMs, kind: evArrive, sess: e.sess,
 		replica: ss.replica, gen: s.edges[ss.replica].gen,
@@ -326,8 +286,7 @@ func (s *sim) arrive(e event) {
 		// The uplink delivered into a dead socket: the frame was accepted
 		// by the client before the kill, so it is migration loss, not a
 		// client-side drop. The session itself has already re-placed.
-		s.countMigrated(1)
-		ss.outstanding--
+		ss.led.Migrate(1)
 		return
 	}
 	// The loadgen workload carries no contours, so on this fixed-shape,
@@ -336,13 +295,11 @@ func (s *sim) arrive(e event) {
 	verdict, stale := ed.queue.Admit(s.admission, s.p.QueueDepth, &ss.lane, e.job)
 	switch verdict {
 	case edge.VerdictReject:
-		s.countRejected()
-		ss.outstanding--
+		ss.led.Reject(1)
 		ss.keyframes.Lost(e.job.decision)
 		return
 	case edge.VerdictShedOldest:
-		s.countShed()
-		ss.outstanding--
+		ss.led.ShedStale(1)
 		ss.keyframes.Lost(stale.decision)
 	}
 	s.depths.Add(float64(ed.queue.Len()))
@@ -411,12 +368,10 @@ func (s *sim) launch(now float64, r, accel int, batch []*simJob) {
 func (s *sim) flush(e event) {
 	ed := s.edges[e.replica]
 	if ed.dead || e.gen != ed.gen {
-		staged := ed.staged[e.accel]
-		ed.staged[e.accel] = nil
-		s.countMigrated(len(staged))
-		for _, j := range staged {
-			s.sess[j.sess].outstanding--
+		for _, j := range ed.staged[e.accel] {
+			s.sess[j.sess].led.Migrate(1)
 		}
+		ed.staged[e.accel] = nil
 		return
 	}
 	batch := ed.staged[e.accel]
@@ -431,9 +386,8 @@ func (s *sim) flush(e event) {
 func (s *sim) inferDone(e event) {
 	ed := s.edges[e.replica]
 	if ed.dead || e.gen != ed.gen {
-		s.countMigrated(len(e.batch))
 		for _, j := range e.batch {
-			s.sess[j.sess].outstanding--
+			s.sess[j.sess].led.Migrate(1)
 		}
 		return
 	}
@@ -464,9 +418,7 @@ func (s *sim) kill(e event) {
 		if ss.replica != e.replica {
 			continue
 		}
-		lost := len(ed.queue.DropLane(&ss.lane))
-		s.countMigrated(lost)
-		ss.outstanding -= lost
+		ss.led.Migrate(len(ed.queue.DropLane(&ss.lane)))
 		ss.keyframes.Reset()
 		ss.replica = s.p.PlaceSession(i, alive)
 	}
@@ -476,13 +428,12 @@ func (s *sim) kill(e event) {
 // skip-compute cost shape.
 func (s *sim) deliver(e event) {
 	ss := s.sess[e.sess]
-	ss.outstanding--
-	s.countServed(ss)
+	ss.led.Serve(1)
 	if s.p.SkipCompute() {
 		if e.job.decision.Keyframe {
-			s.countKeyframes(1)
+			ss.led.Classify(1, 0)
 		} else {
-			s.countWarped(1)
+			ss.led.Classify(0, 1)
 		}
 	}
 	s.lat.Add(e.at - e.job.genAt)
@@ -490,13 +441,16 @@ func (s *sim) deliver(e event) {
 
 // report assembles the SLO snapshot.
 func (s *sim) report() *SLO {
+	var led metrics.Ledger
 	servedMin, servedMax := 0, 0
 	for i, ss := range s.sess {
-		if i == 0 || ss.served < servedMin {
-			servedMin = ss.served
+		led.Add(ss.led)
+		served := ss.led.Served()
+		if i == 0 || served < servedMin {
+			servedMin = served
 		}
-		if i == 0 || ss.served > servedMax {
-			servedMax = ss.served
+		if i == 0 || served > servedMax {
+			servedMax = served
 		}
 	}
 	util, accels := 0.0, 0
@@ -520,18 +474,8 @@ func (s *sim) report() *SLO {
 		Sessions:        s.p.Sessions,
 		Accelerators:    s.p.Accelerators,
 		QueueDepth:      s.p.QueueDepth,
-		Offered:         s.offered,
-		Served:          s.served,
-		Rejected:        s.rejected,
-		Shed:            s.shed,
-		Dropped:         s.dropped,
-		Migrated:        s.migrated,
-		ConservationOK:  s.offered == s.served+s.rejected+s.shed+s.dropped+s.migrated,
 		Batches:         s.batches,
 		MeanBatchSize:   round3(meanBatch),
-		KeyframesServed: s.keyframes,
-		WarpedServed:    s.warped,
-		KeyframeRate:    keyframeRate(s.keyframes, s.warped),
 		LatMeanMs:       round3(s.lat.Mean()),
 		LatP50Ms:        round3(s.lat.Quantile(0.50)),
 		LatP95Ms:        round3(s.lat.Quantile(0.95)),
@@ -554,5 +498,6 @@ func (s *sim) report() *SLO {
 	if s.p.Sharded() {
 		slo.Replicas = s.p.Replicas
 	}
+	slo.Account(led)
 	return slo
 }

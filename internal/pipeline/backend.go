@@ -3,6 +3,7 @@ package pipeline
 import (
 	"time"
 
+	"edgeis/internal/metrics"
 	"edgeis/internal/netsim"
 	"edgeis/internal/scene"
 	"edgeis/internal/segmodel"
@@ -21,7 +22,10 @@ const (
 )
 
 // BackendStats is the accounting every backend reports, so simulated and
-// live runs describe offload loss and edge work identically.
+// live runs describe offload loss and edge work identically. Results,
+// DroppedOffloads and MigratedOffloads are a backend's metrics.Ledger seen
+// from this boundary (served, dropped, migrated), filled in by WithLedger;
+// the other fields are not conserved quantities and are plain tallies.
 type BackendStats struct {
 	// Submitted counts offloads the backend accepted.
 	Submitted int
@@ -43,16 +47,11 @@ type BackendStats struct {
 	DownlinkBytes int
 }
 
-// CountDropped and CountDiscarded are the audited mutators for the loss
-// counters shared by every backend (sim, loopback, live): routing each
-// dropped offload and discarded result through them keeps the conservation
-// law's loss side greppable across simulated and live runs alike.
-
-func (s *BackendStats) CountDropped(n int) { s.DroppedOffloads += n }
-
-func (s *BackendStats) CountDiscarded() { s.DiscardedResults++ }
-
-func (s *BackendStats) CountMigrated(n int) { s.MigratedOffloads += n }
+// WithLedger returns s with the conserved fields read from l.
+func (s BackendStats) WithLedger(l metrics.Ledger) BackendStats {
+	s.Results, s.DroppedOffloads, s.MigratedOffloads = l.Served(), l.Dropped(), l.Migrated()
+	return s
+}
 
 // ScheduledResult is an edge result with its simulated delivery time. Live
 // backends stamp results with the poll time — the earliest simulated instant
@@ -129,7 +128,10 @@ type SimBackend struct {
 	// keyframe is the skip-compute state of the backend's single client
 	// stream (the engine drives one mobile).
 	keyframe segmodel.KeyframeStream
-	stats    BackendStats
+	// led accounts every Submit (offered) to a result, an overflow drop or —
+	// through FleetSimBackend — a replica kill; stats holds the rest.
+	led   metrics.Ledger
+	stats BackendStats
 	// batch is the launch being formed; it, results and solos are reused
 	// across launches so a launch of one allocates nothing.
 	batch   []waitingOffload
@@ -218,6 +220,7 @@ func (b *SimBackend) Bind(frames []*scene.Frame, queueDepth int) {
 // additionally invalidates the feature cache, since the pyramid later frames
 // were decided to warp from was never computed.
 func (b *SimBackend) Submit(req *OffloadRequest, sendAt float64) []ScheduledResult {
+	b.led.Offer(1)
 	b.stats.Submitted++
 	b.stats.UplinkBytes += req.PayloadBytes
 	// Classify at submit time, in send order. With the policy off the
@@ -238,7 +241,7 @@ func (b *SimBackend) Submit(req *OffloadRequest, sendAt float64) []ScheduledResu
 	if len(b.waiting) > b.queueDepth {
 		stale := b.waiting[0]
 		b.waiting = b.waiting[1:]
-		b.stats.CountDropped(1)
+		b.led.Drop(1)
 		b.keyframe.Lost(stale.decision)
 	}
 	return out
@@ -310,7 +313,7 @@ func (b *SimBackend) startBatch(out []ScheduledResult, startAt float64, accel in
 	for i, item := range b.batch {
 		res := b.results[i]
 		b.stats.InferMsSum += launchMs
-		b.stats.Results++
+		b.led.Serve(1)
 		resultBytes := 256
 		for _, d := range res.Detections {
 			if d.Mask != nil {
@@ -362,7 +365,7 @@ func (b *SimBackend) Outstanding() int { return len(b.waiting) }
 func (b *SimBackend) Wait(time.Duration) bool { return false }
 
 // Stats implements EdgeBackend.
-func (b *SimBackend) Stats() BackendStats { return b.stats }
+func (b *SimBackend) Stats() BackendStats { return b.stats.WithLedger(b.led) }
 
 // Close implements EdgeBackend.
 func (b *SimBackend) Close() error { return nil }
@@ -381,6 +384,7 @@ type LoopbackBackend struct {
 	edgeFreeAt float64
 	inflight   int
 	keyframe   segmodel.KeyframeStream
+	led        metrics.Ledger
 	stats      BackendStats
 }
 
@@ -425,8 +429,9 @@ func (b *LoopbackBackend) Submit(req *OffloadRequest, sendAt float64) []Schedule
 	if b.keyframe.Policy.Enabled() {
 		d = b.keyframe.Decide(modelInput(b.frames, b.seed, req), req.Guidance)
 	}
+	b.led.Offer(1)
 	if b.inflight >= b.queueDepth {
-		b.stats.CountDropped(1)
+		b.led.Drop(1)
 		b.keyframe.Lost(d)
 		return nil
 	}
@@ -441,7 +446,7 @@ func (b *LoopbackBackend) Submit(req *OffloadRequest, sendAt float64) []Schedule
 	}
 	b.edgeFreeAt = start + inferMs
 	b.stats.InferMsSum += inferMs
-	b.stats.Results++
+	b.led.Serve(1)
 	b.inflight++
 	return []ScheduledResult{{
 		At: b.edgeFreeAt,
@@ -473,7 +478,7 @@ func (b *LoopbackBackend) NoteDelivered() {
 func (b *LoopbackBackend) Wait(time.Duration) bool { return false }
 
 // Stats implements EdgeBackend.
-func (b *LoopbackBackend) Stats() BackendStats { return b.stats }
+func (b *LoopbackBackend) Stats() BackendStats { return b.stats.WithLedger(b.led) }
 
 // Close implements EdgeBackend.
 func (b *LoopbackBackend) Close() error { return nil }

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"edgeis/internal/fleet"
+	"edgeis/internal/metrics"
 	"edgeis/internal/scene"
 )
 
@@ -55,9 +56,9 @@ type FleetSimBackend struct {
 	key   string
 	// cur is the serving replica, -1 once the whole fleet is dead.
 	cur int
-	// extra holds fleet-level accounting no single edge owns: migrated
-	// losses and submits that found no replica alive.
-	extra BackendStats
+	// led accounts the submits no edge owns: those that found no replica
+	// alive. A kill's losses settle on the dead edge's own ledger.
+	led metrics.Ledger
 }
 
 // NewFleetSimBackend builds the sharded simulated edge.
@@ -128,7 +129,7 @@ func (b *FleetSimBackend) applyKills(now float64) {
 		}
 		b.dead[k.Replica] = true
 		ed := b.edges[k.Replica]
-		b.extra.CountMigrated(len(ed.waiting))
+		ed.led.Migrate(len(ed.waiting))
 		ed.waiting = nil
 		if b.cur == k.Replica {
 			b.cur = b.place()
@@ -155,7 +156,8 @@ func (b *FleetSimBackend) Bind(frames []*scene.Frame, queueDepth int) {
 func (b *FleetSimBackend) Submit(req *OffloadRequest, sendAt float64) []ScheduledResult {
 	b.applyKills(sendAt)
 	if b.cur < 0 {
-		b.extra.CountDropped(1)
+		b.led.Offer(1)
+		b.led.Drop(1)
 		return nil
 	}
 	return b.edges[b.cur].Submit(req, sendAt)
@@ -189,21 +191,18 @@ func (b *FleetSimBackend) Outstanding() int {
 func (b *FleetSimBackend) Wait(time.Duration) bool { return false }
 
 // Stats implements EdgeBackend: per-replica accounting summed, plus the
-// fleet-level migrated and fleet-dead-drop counters.
+// fleet-dead drops.
 func (b *FleetSimBackend) Stats() BackendStats {
-	agg := b.extra
+	var agg BackendStats
+	led := b.led
 	for _, ed := range b.edges {
-		s := ed.Stats()
-		agg.Submitted += s.Submitted
-		agg.DroppedOffloads += s.DroppedOffloads
-		agg.DiscardedResults += s.DiscardedResults
-		agg.MigratedOffloads += s.MigratedOffloads
-		agg.Results += s.Results
-		agg.InferMsSum += s.InferMsSum
-		agg.UplinkBytes += s.UplinkBytes
-		agg.DownlinkBytes += s.DownlinkBytes
+		led.Add(ed.led)
+		agg.Submitted += ed.stats.Submitted
+		agg.InferMsSum += ed.stats.InferMsSum
+		agg.UplinkBytes += ed.stats.UplinkBytes
+		agg.DownlinkBytes += ed.stats.DownlinkBytes
 	}
-	return agg
+	return agg.WithLedger(led)
 }
 
 // Close implements EdgeBackend.

@@ -8,6 +8,8 @@ import (
 	"os"
 	"sync"
 	"time"
+
+	"edgeis/internal/metrics"
 )
 
 // Client is the mobile side of the wire protocol. Offloads are
@@ -29,20 +31,15 @@ type Client struct {
 	closeOnce sync.Once
 	closeErr  error
 
-	mu        sync.Mutex
-	lastErr   error
-	sent      int
-	delivered int
-	rejected  int
-	shed      int
-	// connLost is the settled count of frames accepted for sending but
-	// never resolved (no result, reject, or shed) when the connection
-	// ended. Before PR 10 these frames were neither dropped nor rejected —
-	// an unclassified leak in the conservation law; now every sent frame
-	// lands in exactly one bucket: sent == delivered + rejected + shed +
-	// connLost once lostSettled.
-	connLost    int
-	lostSettled bool
+	mu      sync.Mutex
+	lastErr error
+	// led is the connection's frame accounting: sent frames are offered,
+	// results handed to the consumer served, TypeReject and TypeShed replies
+	// rejected and shed, and whatever is unresolved when the read loop
+	// exits is settled as dropped (ConnLost). Send refuses frames once
+	// settled, so nothing is admitted past the settlement.
+	led     metrics.Ledger
+	settled bool
 }
 
 // ClientOption customizes a client connection.
@@ -184,93 +181,59 @@ func (c *Client) Send(f *FrameMsg) bool {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.lostSettled {
-		// The connection-loss accounting has been settled: admitting more
-		// frames now would leak them past the ConnLost tally.
+	if c.settled {
 		return false
 	}
 	select {
 	case c.sendq <- f:
-		c.sent++
+		c.led.Offer(1)
 		return true
 	default:
 		return false
 	}
 }
 
-// Sent returns the number of frames accepted for sending.
-func (c *Client) Sent() int {
+// Ledger snapshots the connection's frame accounting; a fleet client rolls
+// its connections up with Ledger.Add. The getters below name its buckets.
+func (c *Client) Ledger() metrics.Ledger {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.sent
+	return c.led
 }
+
+// Sent returns the number of frames accepted for sending.
+func (c *Client) Sent() int { return c.Ledger().Offered() }
 
 // Rejected returns the number of frames the edge shed at admission
 // (TypeReject replies). Rejections are per-frame and non-fatal; callers
 // account them as dropped offloads.
-func (c *Client) Rejected() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.rejected
-}
+func (c *Client) Rejected() int { return c.Ledger().Rejected() }
 
 // Shed returns the number of this client's frames the edge displaced in
 // favour of its own fresher frames (TypeShed replies under the latest-wins
 // admission policy). Like rejections they are per-frame and non-fatal, and
 // callers account them as dropped offloads.
-func (c *Client) Shed() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.shed
-}
+func (c *Client) Shed() int { return c.Ledger().Shed() }
 
-// Delivered returns the number of results received from the edge.
-func (c *Client) Delivered() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.delivered
-}
+// Delivered returns the number of results handed to the consumer of
+// Results. While the connection is live it may run one ahead of the
+// consumer (a result is counted as the hand-over starts), never behind;
+// once closed it is exactly what a consumer ranging over Results received.
+func (c *Client) Delivered() int { return c.Ledger().Served() }
 
 // ConnLost returns the number of frames accepted for sending that were
-// never resolved — no result, reject, or shed reply — by the time the
-// connection ended, whether it died under the client or was closed by it.
-// Zero until the read loop exits (the moment no further replies can
-// arrive); after that sent == delivered + rejected + shed + connLost, the
-// leak-free form of the client-side conservation law a fleet reconciles
-// when it fails a session over to another replica.
-func (c *Client) ConnLost() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.connLost
-}
+// never resolved — no result handed over, no reject or shed reply — by the
+// time the connection ended, whether it died under the client or was closed
+// by it. Zero until the read loop exits (the moment no further replies can
+// arrive); after that the connection's Ledger passes Check(0).
+func (c *Client) ConnLost() int { return c.Ledger().Dropped() }
 
-// noteRejected, noteShed and noteConnLost are the audited counter mutators
-// the conservation analyzer admits: the read loop's wire-reply accounting
-// moves through them so every path that loses a frame is greppable.
-
-func (c *Client) noteRejected() {
+// settle classifies everything sent but unresolved as ConnLost, exactly
+// once, when the read loop exits and no further replies can arrive.
+func (c *Client) settle() {
 	c.mu.Lock()
-	c.rejected++
-	c.mu.Unlock()
-}
-
-func (c *Client) noteShed() {
-	c.mu.Lock()
-	c.shed++
-	c.mu.Unlock()
-}
-
-// noteConnLost settles the connection-loss bucket exactly once, when the
-// read loop exits and no further replies can resolve outstanding frames.
-// Everything sent but unresolved at that instant is classified ConnLost;
-// Send refuses new frames afterwards so the settlement cannot be leaked
-// past.
-func (c *Client) noteConnLost() {
-	c.mu.Lock()
-	if !c.lostSettled {
-		c.lostSettled = true
-		c.connLost = c.sent - c.delivered - c.rejected - c.shed
-	}
+	c.settled = true
+	c.led.Settle()
 	c.mu.Unlock()
 }
 
@@ -316,7 +279,7 @@ func (c *Client) writeLoop() {
 func (c *Client) readLoop() {
 	defer c.wg.Done()
 	defer close(c.results)
-	defer c.noteConnLost()
+	defer c.settle()
 	for {
 		payload, err := ReadMessage(c.conn)
 		if err != nil {
@@ -336,14 +299,18 @@ func (c *Client) readLoop() {
 				c.setErr(rerr)
 				return
 			}
-			c.noteRejected()
+			c.mu.Lock()
+			c.led.Reject(1)
+			c.mu.Unlock()
 			continue
 		case terr == nil && t == TypeShed:
 			if _, _, serr := UnmarshalShed(payload); serr != nil {
 				c.setErr(serr)
 				return
 			}
-			c.noteShed()
+			c.mu.Lock()
+			c.led.ShedStale(1)
+			c.mu.Unlock()
 			continue
 		}
 		res, err := UnmarshalResult(payload)
@@ -351,12 +318,18 @@ func (c *Client) readLoop() {
 			c.setErr(err)
 			return
 		}
+		// Count the hand-over before it starts, so Delivered is never behind
+		// what the consumer holds, and take it back if the consumer is gone:
+		// the frame then settles as ConnLost.
 		c.mu.Lock()
-		c.delivered++
+		c.led.Serve(1)
 		c.mu.Unlock()
 		select {
 		case c.results <- res:
 		case <-c.done:
+			c.mu.Lock()
+			c.led.Unserve(1)
+			c.mu.Unlock()
 			return
 		}
 	}

@@ -4,6 +4,8 @@ import (
 	"net"
 	"testing"
 	"time"
+
+	"edgeis/internal/segmodel"
 )
 
 // TestClientConnLostAccounting: a connection dying with frames outstanding
@@ -147,5 +149,53 @@ func TestClientConnLostZeroOnCleanRun(t *testing.T) {
 	}
 	if c.Sent() != c.Delivered() {
 		t.Errorf("sent %d != delivered %d on clean run", c.Sent(), c.Delivered())
+	}
+}
+
+// TestClientDeliveredMeansHandedOver: a result the read loop decoded but
+// could not hand to the consumer before Close is ConnLost, not Delivered.
+// With nobody reading, the 16-slot results channel fills and the 17th
+// result is caught mid-hand-over when Close fires; what a consumer can
+// still drain from the channel must be exactly what Delivered reports.
+func TestClientDeliveredMeansHandedOver(t *testing.T) {
+	srv := NewServer(segmodel.New(segmodel.YOLACT), WithConnPipeline(8))
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = srv.Close() }()
+	c, err := Dial(addr.String(), time.Second, WithSendQueue(64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const frames = 24
+	for i := 0; i < frames; i++ {
+		f := sampleFrame()
+		f.FrameIndex = int32(i)
+		if !c.Send(f) {
+			t.Fatalf("Send(%d) refused", i)
+		}
+	}
+	// Live, Delivered counts the hand-over in progress: never behind what
+	// a consumer could hold.
+	deadline := time.Now().Add(10 * time.Second)
+	for c.Delivered() < cap(c.results)+1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("read loop stalled at %d delivered", c.Delivered())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	received := 0
+	for range c.Results() {
+		received++
+	}
+	if received != c.Delivered() {
+		t.Errorf("consumer received %d results, Delivered() = %d", received, c.Delivered())
+	}
+	if err := c.Ledger().Check(0); err != nil || c.Sent() != frames {
+		t.Errorf("sent %d of %d, ledger: %v", c.Sent(), frames, err)
 	}
 }
