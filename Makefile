@@ -25,10 +25,11 @@ vet: ## Standard static analysis.
 lint: ## Repo-specific determinism/concurrency analyzers (see DESIGN.md §11 and §16).
 	$(GO) run ./cmd/edgeis-lint ./...
 
-fuzz: ## Brief fuzz pass over the wire-protocol decoders.
+fuzz: ## Brief fuzz pass over the wire-protocol decoders and the packed mask kernels (contours included) against their scalar references.
 	$(GO) test -run=NONE -fuzz=FuzzUnmarshalFrame -fuzztime=$(FUZZTIME) ./internal/transport/
 	$(GO) test -run=NONE -fuzz=FuzzUnmarshalResult -fuzztime=$(FUZZTIME) ./internal/transport/
 	$(GO) test -run=NONE -fuzz=FuzzUnmarshalError -fuzztime=$(FUZZTIME) ./internal/transport/
+	$(GO) test -run=NONE -fuzz=FuzzPackedKernels -fuzztime=$(FUZZTIME) ./internal/mask/
 
 bench: kernelbench ## Per-figure benchmarks plus the packed-kernel sweep.
 	$(GO) test -bench=. -benchmem .
@@ -56,5 +57,5 @@ loc: ## Non-test / test Go lines per package (wc -l), the size figure simplifica
 
 check: vet lint build test race ## Everything CI runs, in order.
 
-idle: ## Hand-in check: fails, listing them, if any edgeis-* binary or Go test binary is still running (matches executable paths, so never itself or an argument).
-	@! ls -l /proc/[0-9]*/exe 2>/dev/null | grep -E '/(edgeis-[a-z]+|[^/ ]+\.test)$$'
+idle: ## Hand-in check: fails, listing them, if any edgeis-* binary, Go test binary or orphaned go/gopls front end is still running (matches executable paths, so never itself or an argument).
+	@! ls -l /proc/[0-9]*/exe 2>/dev/null | grep -E '/(edgeis-[a-z]+|[^/ ]+\.test|go|gopls)$$'

@@ -20,6 +20,7 @@ import (
 	"log"
 	"os"
 	"runtime"
+	"slices"
 	"time"
 
 	"edgeis/internal/geom"
@@ -82,7 +83,7 @@ func run() error {
 				ScalarNs:   round1(scalar),
 				Speedup:    round1(scalar / packed),
 			})
-			fmt.Fprintf(os.Stderr, "%-12s %4dx%-4d packed %10.1f ns/op  scalar %10.1f ns/op  %6.1fx\n",
+			fmt.Fprintf(os.Stderr, "%-15s %4dx%-4d packed %10.1f ns/op  scalar %10.1f ns/op  %6.1fx\n",
 				c.name, res.W, res.H, packed, scalar, scalar/packed)
 		}
 	}
@@ -156,7 +157,7 @@ func fixtures(w, h int) (a, b *mask.Bitmask, sa, sb *mask.Scalar, poly []geom.Ve
 	a = sa.Packed()
 	b = a.Translate(5, 3)
 	sb = sa.Translate(5, 3)
-	poly = mask.SimplifyContour(mask.ExtractContours(a, 8)[0], 160)
+	poly = mask.LargestContour(a, 8, 160)
 	return
 }
 
@@ -297,6 +298,17 @@ func kernelCases(w, h int) []kernelCase {
 				s := mask.NewScalar(w, h)
 				s.Paste(sb, 2, 2)
 				return sameMask(p, s)
+			},
+		},
+		{
+			name:   "ExtractContours",
+			packed: func() { mask.ExtractContours(a, 8) },
+			scalar: func() { mask.ScalarExtractContours(sa, 8) },
+			verify: func() error {
+				if !slices.EqualFunc(mask.ExtractContours(a, 8), mask.ScalarExtractContours(sa, 8), slices.Equal[mask.Contour]) {
+					return fmt.Errorf("contours differ")
+				}
+				return nil
 			},
 		},
 		{

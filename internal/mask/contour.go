@@ -3,6 +3,8 @@ package mask
 import (
 	"math"
 	"math/bits"
+	"slices"
+	"sync"
 
 	"edgeis/internal/geom"
 )
@@ -12,91 +14,180 @@ import (
 // connected pixels".
 type Contour []geom.Vec2
 
-// ExtractContours traces the outer boundary of every connected component of
-// the mask using Moore-neighbour tracing with Jacob's stopping criterion —
-// functionally the same boundary lists OpenCV's findContours produces in
-// RETR_EXTERNAL mode. Components are returned in scan order; components
-// smaller than minArea pixels are skipped.
+// ExtractContours traces the outer boundary of every 4-connected component
+// of the mask with Moore-neighbour tracing — the boundary lists OpenCV's
+// findContours produces in RETR_EXTERNAL mode. Components are returned in
+// scan order of their first pixel; components smaller than minArea pixels
+// are skipped. ScalarExtractContours is the reference it is pinned to.
 func ExtractContours(m *Bitmask, minArea int) []Contour {
-	return ExtractContoursPooled(m, minArea, nil)
-}
-
-// ExtractContoursPooled is ExtractContours drawing its visited-pixel
-// scratch mask from the pool (nil allocates); the scratch never escapes.
-func ExtractContoursPooled(m *Bitmask, minArea int, pool *Pool) []Contour {
-	visited := pool.Get(m.Width, m.Height)
-	defer pool.Put(visited)
+	s := labelComponents(m)
+	defer contourScratchPool.Put(s)
 	var contours []Contour
-
-	labels := connectedComponents(m)
-	seen := make(map[int]bool)
-	for y := 0; y < m.Height; y++ {
-		for x := 0; x < m.Width; x++ {
-			lbl := labels[y*m.Width+x]
-			if lbl == 0 || seen[lbl] {
-				continue
-			}
-			seen[lbl] = true
-			// (x, y) is the top-left-most pixel of this component in scan
-			// order, a valid Moore-trace start.
-			c := traceBoundary(m, labels, lbl, x, y, visited)
-			if componentArea(labels, lbl) >= minArea && len(c) > 0 {
-				contours = append(contours, c)
-			}
+	for i := range s.runs {
+		if s.traced(i, minArea) {
+			contours = append(contours, slices.Clone(s.trace(m, i)))
 		}
 	}
 	return contours
 }
 
-// connectedComponents labels 4-connected components starting at 1. Seed
-// pixels are found by scanning the packed rows a word at a time (zero words
-// — the vast majority of a typical frame — cost one compare), then each
-// component is flood-filled.
-func connectedComponents(m *Bitmask) []int {
-	labels := make([]int, m.Width*m.Height)
-	next := 0
-	var stack [][2]int
-	for y := 0; y < m.Height; y++ {
-		for k, w := range m.row(y) {
-			for w != 0 {
-				x := k*wordBits + bits.TrailingZeros64(w)
-				w &= w - 1
-				if labels[y*m.Width+x] != 0 {
-					continue
-				}
-				next++
-				stack = stack[:0]
-				stack = append(stack, [2]int{x, y})
-				labels[y*m.Width+x] = next
-				for len(stack) > 0 {
-					p := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					for _, d := range [4][2]int{{1, 0}, {-1, 0}, {0, 1}, {0, -1}} {
-						nx, ny := p[0]+d[0], p[1]+d[1]
-						if !m.At(nx, ny) {
-							continue
-						}
-						idx := ny*m.Width + nx
-						if labels[idx] == 0 {
-							labels[idx] = next
-							stack = append(stack, [2]int{nx, ny})
-						}
-					}
-				}
-			}
+// LargestContour returns the longest contour ExtractContours would return,
+// simplified to at most maxPoints vertices (SimplifyContour), or nil when
+// no component reaches minArea. Among equally long contours the first in
+// scan order wins. Only the winner is copied out: the returned slice is the
+// call's one allocation.
+func LargestContour(m *Bitmask, minArea, maxPoints int) Contour {
+	s := labelComponents(m)
+	defer contourScratchPool.Put(s)
+	var best Contour
+	for i := range s.runs {
+		if !s.traced(i, minArea) {
+			continue
+		}
+		if c := s.trace(m, i); len(c) > len(best) {
+			// Keep the winner out of the buffer the next trace writes.
+			s.cur, s.best = s.best, s.cur
+			best = c
 		}
 	}
-	return labels
+	if best == nil {
+		return nil
+	}
+	return SimplifyContour(best, maxPoints)
 }
 
-func componentArea(labels []int, lbl int) int {
-	n := 0
-	for _, l := range labels {
-		if l == lbl {
-			n++
+// pixelRun is one maximal horizontal run of set pixels and its node in the
+// union-find forest over 4-connected runs.
+type pixelRun struct {
+	y, x0, x1 int // pixels [x0, x1) of row y
+	parent    int // a lower run index, or the run's own index at a root
+	area      int // the run's length; after labelling, the component's area at a root
+}
+
+// contourScratch is the working set of one contour extraction: the runs,
+// the label plane and two trace buffers. Extraction runs on concurrent
+// connection goroutines whose callers hold no mask.Pool, so scratch is
+// recycled through a sync.Pool and never escapes a call.
+type contourScratch struct {
+	runs []pixelRun
+	// labels is the bounding box plus a one-pixel border, holding root+1
+	// for each set pixel and 0 elsewhere. A set neighbour that touches a
+	// component only diagonally belongs to another one, so membership is
+	// a label compare, not a bit test.
+	labels    []int32
+	box       Box
+	stride    int
+	cur, best Contour
+}
+
+var contourScratchPool = sync.Pool{New: func() any { return new(contourScratch) }}
+
+// labelComponents splits m's rows into runs and unions each run with the
+// runs it overlaps in the row above. The lower index always becomes the
+// root, so a component's root is its scan-order-first run and the root's
+// (x0, y) is the component's first pixel in scan order.
+func labelComponents(m *Bitmask) *contourScratch {
+	s := contourScratchPool.Get().(*contourScratch)
+	s.runs, s.labels = s.runs[:0], s.labels[:0]
+	s.box = m.BoundingBox()
+	prev0, prev1 := 0, 0 // runs of row y-1
+	for y := s.box.MinY; y < s.box.MaxY; y++ {
+		cur0 := len(s.runs)
+		s.appendRowRuns(m.row(y), y)
+		cur1 := len(s.runs)
+		for i, j := prev0, cur0; i < prev1 && j < cur1; {
+			a, b := &s.runs[i], &s.runs[j]
+			if a.x1 > b.x0 && b.x1 > a.x0 {
+				s.union(i, j)
+			}
+			if a.x1 < b.x1 {
+				i++
+			} else {
+				j++
+			}
+		}
+		prev0, prev1 = cur0, cur1
+	}
+	// Parents precede children, so one pass in index order points every
+	// run at its root and sums component areas.
+	for i := range s.runs {
+		r := &s.runs[i]
+		r.parent = s.runs[r.parent].parent
+		if r.parent != i {
+			s.runs[r.parent].area += r.area
 		}
 	}
-	return n
+	s.stride = s.box.Width() + 2
+	n := s.stride * (s.box.Height() + 2)
+	if cap(s.labels) < n {
+		s.labels = make([]int32, n)
+	} else {
+		s.labels = s.labels[:n]
+		clear(s.labels)
+	}
+	for _, r := range s.runs {
+		row := s.labels[s.labelIndex(r.x0, r.y):][:r.x1-r.x0]
+		for k := range row {
+			row[k] = int32(r.parent + 1)
+		}
+	}
+	return s
+}
+
+// appendRowRuns appends the runs of set pixels of row y inside the bounding
+// box, jumping between run ends with trailing-zero counts of the words and
+// their complements. No set bit lies at or beyond box.MaxX, so a run never
+// needs clipping.
+func (s *contourScratch) appendRowRuns(row []uint64, y int) {
+	for x := s.box.MinX; x < s.box.MaxX; {
+		w := row[x>>6] >> uint(x&63)
+		if w == 0 {
+			x = (x>>6 + 1) << 6
+			continue
+		}
+		x += bits.TrailingZeros64(w)
+		x0 := x
+		for x < s.box.MaxX {
+			w = ^row[x>>6] >> uint(x&63)
+			if w == 0 {
+				x = (x>>6 + 1) << 6
+				continue
+			}
+			x += bits.TrailingZeros64(w)
+			break
+		}
+		s.runs = append(s.runs, pixelRun{y: y, x0: x0, x1: x, parent: len(s.runs), area: x - x0})
+	}
+}
+
+func (s *contourScratch) find(i int) int {
+	for {
+		p := s.runs[i].parent
+		if p == i {
+			return i
+		}
+		gp := s.runs[p].parent
+		s.runs[i].parent = gp // path halving
+		i = gp
+	}
+}
+
+func (s *contourScratch) union(i, j int) {
+	ri, rj := s.find(i), s.find(j)
+	if ri > rj {
+		ri, rj = rj, ri
+	}
+	s.runs[rj].parent = ri
+}
+
+// traced reports whether run i is the root of a component of at least
+// minArea pixels.
+func (s *contourScratch) traced(i, minArea int) bool {
+	return s.runs[i].parent == i && s.runs[i].area >= minArea
+}
+
+func (s *contourScratch) labelIndex(x, y int) int {
+	return (y-s.box.MinY+1)*s.stride + x - s.box.MinX + 1
 }
 
 // mooreOffsets enumerates the 8-neighbourhood clockwise starting from west.
@@ -104,63 +195,43 @@ var mooreOffsets = [8][2]int{
 	{-1, 0}, {-1, -1}, {0, -1}, {1, -1}, {1, 0}, {1, 1}, {0, 1}, {-1, 1},
 }
 
-// traceBoundary walks the outer boundary of component lbl starting from its
-// scan-order-first pixel. dir encodes the direction of the last move as an
-// index into mooreOffsets; the next scan starts one past the backtrack
-// neighbour, clockwise. Termination uses Jacob's criterion: stop when the
-// start pixel is re-entered moving in the initial direction.
-func traceBoundary(m *Bitmask, labels []int, lbl, sx, sy int, visited *Bitmask) Contour {
-	inComp := func(x, y int) bool {
-		if x < 0 || y < 0 || x >= m.Width || y >= m.Height {
-			return false
-		}
-		return labels[y*m.Width+x] == lbl
-	}
-
-	contour := Contour{geom.V2(float64(sx), float64(sy))}
-	visited.Set(sx, sy)
-
-	// Single-pixel component.
-	single := true
-	for _, d := range mooreOffsets {
-		if inComp(sx+d[0], sy+d[1]) {
-			single = false
-			break
-		}
-	}
-	if single {
-		return contour
-	}
-
+// trace walks the outer boundary of the component rooted at run root into
+// s.cur and returns it. It starts at the component's scan-order-first
+// pixel; the last move's direction is an index into mooreOffsets, and each
+// probe sweep starts one past the backtrack neighbour, clockwise. The walk
+// stops at the first re-entry into the start pixel once the contour holds
+// two points, whatever direction it re-enters from: this is not Jacob's
+// criterion. The wire bytes and goldens pin this rule.
+func (s *contourScratch) trace(m *Bitmask, root int) Contour {
+	r := s.runs[root]
+	sx, sy := r.x0, r.y
+	c := append(s.cur[:0], geom.V2(float64(sx), float64(sy)))
+	lbl := int32(root + 1)
 	cx, cy := sx, sy
 	// Scan order guarantees the west neighbour of the start pixel is
 	// outside the component, so pretend we arrived moving east.
 	const east = 4
 	dir := east
-
 	maxSteps := 8 * m.Width * m.Height
 	for step := 0; step < maxSteps; step++ {
 		found := false
-		start := (dir + 5) % 8 // one past the backtrack neighbour
 		for i := 0; i < 8; i++ {
-			d := (start + i) % 8
+			d := (dir + 5 + i) & 7 // one past the backtrack neighbour
 			nx, ny := cx+mooreOffsets[d][0], cy+mooreOffsets[d][1]
-			if inComp(nx, ny) {
+			// Neighbours of component pixels lie within the plane's border.
+			if s.labels[s.labelIndex(nx, ny)] == lbl {
 				cx, cy, dir = nx, ny, d
 				found = true
 				break
 			}
 		}
-		if !found {
+		if !found || (cx == sx && cy == sy && len(c) >= 2) {
 			break
 		}
-		if cx == sx && cy == sy && len(contour) >= 2 {
-			break // boundary closed
-		}
-		contour = append(contour, geom.V2(float64(cx), float64(cy)))
-		visited.Set(cx, cy)
+		c = append(c, geom.V2(float64(cx), float64(cy)))
 	}
-	return contour
+	s.cur = c
+	return c
 }
 
 // FillPolygon rasterizes a closed polygon into a mask of the given size

@@ -1,7 +1,10 @@
 package mask
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
 	"edgeis/internal/geom"
@@ -243,6 +246,246 @@ func TestDifferentialRuns(t *testing.T) {
 	}
 }
 
+// requireContours checks ExtractContours and LargestContour against
+// ScalarExtractContours point for point: every contour in order, and the
+// first longest one simplified at each wire and transfer point budget.
+func requireContours(t *testing.T, ctx string, m *Bitmask, s *Scalar, minArea int) {
+	t.Helper()
+	want := ScalarExtractContours(s, minArea)
+	got := ExtractContours(m, minArea)
+	if len(got) != len(want) {
+		t.Fatalf("%s minArea=%d: %d contours, want %d", ctx, minArea, len(got), len(want))
+	}
+	for i := range want {
+		requireContour(t, fmt.Sprintf("%s minArea=%d contour %d", ctx, minArea, i), got[i], want[i])
+	}
+	for _, maxPoints := range []int{0, 16, 160} {
+		gotL, wantL := LargestContour(m, minArea, maxPoints), wantLargest(want, maxPoints)
+		if wantL == nil && gotL != nil {
+			t.Fatalf("%s minArea=%d: LargestContour = %d points, want nil", ctx, minArea, len(gotL))
+		}
+		requireContour(t, fmt.Sprintf("%s minArea=%d LargestContour(%d)", ctx, minArea, maxPoints), gotL, wantL)
+	}
+}
+
+// wantLargest is what both callers did before LargestContour existed: the
+// first longest of the reference contours, simplified, or nil.
+func wantLargest(want []Contour, maxPoints int) Contour {
+	var longest Contour
+	for _, c := range want {
+		if len(c) > len(longest) {
+			longest = c
+		}
+	}
+	if longest == nil {
+		return nil
+	}
+	return SimplifyContour(longest, maxPoints)
+}
+
+func requireContour(t *testing.T, ctx string, got, want Contour) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d points, want %d", ctx, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: point %d = %v, want %v", ctx, i, got[i], want[i])
+		}
+	}
+}
+
+// fromRows builds a mask pair from rows of '#' (set) and '.' (clear).
+func fromRows(rows ...string) (*Bitmask, *Scalar) {
+	s := NewScalar(len(rows[0]), len(rows))
+	for y, r := range rows {
+		for x, ch := range r {
+			if ch == '#' {
+				s.Set(x, y)
+			}
+		}
+	}
+	return s.Packed(), s
+}
+
+// randRects builds a mask pair from n random axis-aligned rectangles, some
+// overlapping, some clipped by the frame: object-like shapes with
+// concavities and components that meet at corners.
+func randRects(rng *rand.Rand, w, h, n int) (*Bitmask, *Scalar) {
+	s := NewScalar(w, h)
+	for k := 0; k < n; k++ {
+		x0, y0 := rng.Intn(w+4)-2, rng.Intn(h+4)-2
+		x1, y1 := x0+1+rng.Intn(w/3+1), y0+1+rng.Intn(h/3+1)
+		for y := y0; y < y1; y++ {
+			for x := x0; x < x1; x++ {
+				s.Set(x, y)
+			}
+		}
+	}
+	return s.Packed(), s
+}
+
+func TestDifferentialContours(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	minAreas := []int{0, 1, 2, 8}
+	for _, sz := range diffSizes {
+		// Noise makes thousands of components, which the oracle's
+		// per-component label rescan makes quadratic; 320x240 takes the
+		// object-like fixtures below instead.
+		if sz[0]*sz[1] < 320*240 {
+			for _, d := range []float64{0, 0.05, 0.3, 0.5, 0.6, 0.95, 1} {
+				m, s := randPair(rng, sz[0], sz[1], d)
+				for _, a := range minAreas {
+					requireContours(t, fmt.Sprintf("%dx%d noise %v", sz[0], sz[1], d), m, s, a)
+				}
+			}
+		}
+		for k := 0; k < 8; k++ {
+			m, s := randRects(rng, sz[0], sz[1], 1+k)
+			for _, a := range minAreas {
+				requireContours(t, fmt.Sprintf("%dx%d rects %d", sz[0], sz[1], k), m, s, a)
+			}
+		}
+		m, s := randPair(rng, sz[0], sz[1], 1)
+		requireContours(t, fmt.Sprintf("%dx%d full", sz[0], sz[1]), m, s, 1)
+		m, s = randPair(rng, sz[0], sz[1], 0)
+		s.Set(sz[0]-1, sz[1]-1)
+		m.Set(sz[0]-1, sz[1]-1)
+		requireContours(t, fmt.Sprintf("%dx%d single pixel", sz[0], sz[1]), m, s, 1)
+	}
+
+	for _, fx := range []struct {
+		name string
+		rows []string
+	}{
+		// Components that touch only diagonally: a tracer probe sees a set
+		// neighbour that belongs to another component.
+		{"checkerboard", []string{
+			"#.#.#.#",
+			".#.#.#.",
+			"#.#.#.#",
+			".#.#.#.",
+		}},
+		{"diagonal blocks", []string{
+			"###.....",
+			"###.....",
+			"###.....",
+			"...#####",
+			"...#####",
+			"...#..##",
+			"...#####",
+		}},
+		{"diagonal into concavity", []string{
+			"#######",
+			"##....#",
+			"#.##..#",
+			"#.##..#",
+			"#.....#",
+			"#######",
+		}},
+		// Components on every border of the frame.
+		{"border", []string{
+			"##..##",
+			"#....#",
+			"......",
+			"#....#",
+			"##..##",
+		}},
+		// Areas 3, 5, 4 and 5, so minArea 3, 4 and 5 each sit exactly at
+		// a component's area.
+		{"areas at minArea", []string{
+			"###.....#",
+			".......##",
+			"##......#",
+			"##.###..#",
+			"....##...",
+		}},
+		// Two 4x4 squares with equal contour lengths.
+		{"ties", []string{
+			"..........",
+			"....####..",
+			"....####..",
+			"#...####..",
+			"#...####..",
+			"..........",
+			".....####.",
+			".....####.",
+			".....####.",
+			".....####.",
+		}},
+		// One-pixel arms: the walk runs out and back along each, so the
+		// contour revisits pixels.
+		{"thin arms", []string{
+			"####.",
+			"#....",
+			"#....",
+			"#....",
+		}},
+		{"hole", []string{
+			".....",
+			".###.",
+			".#.#.",
+			".###.",
+		}},
+	} {
+		m, s := fromRows(fx.rows...)
+		for _, a := range []int{0, 1, 3, 4, 5, 6, 16} {
+			requireContours(t, fx.name, m, s, a)
+		}
+	}
+
+	// Ties resolve to the first component in scan order, not merely to a
+	// contour of the winning length.
+	m, _ := fromRows(
+		"........",
+		".##..##.",
+		".##..##.",
+		"........",
+	)
+	if c := LargestContour(m, 1, 0); c[0] != geom.V2(1, 1) {
+		t.Fatalf("tie: LargestContour starts at %v, want (1,1)", c[0])
+	}
+}
+
+// TestLargestContourConcurrent extracts from several goroutines at once, as
+// the server's connection goroutines do. Under -race it checks that pooled
+// scratch is never shared between calls.
+func TestLargestContourConcurrent(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	masks := make([]*Bitmask, 8)
+	wants := make([]Contour, len(masks))
+	for i := range masks {
+		m, s := randRects(rng, 96, 64, 1+i)
+		masks[i], wants[i] = m, wantLargest(ScalarExtractContours(s, 8), 16)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := 0; k < 50; k++ {
+				i := (g + k) % len(masks)
+				if got := LargestContour(masks[i], 8, 16); !slices.Equal(got, wants[i]) {
+					t.Errorf("goroutine %d, mask %d: LargestContour differs from the reference", g, i)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+func TestLargestContourAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop scratch at random")
+	}
+	m := benchMask(320, 240)
+	LargestContour(m, 8, 160) // fill the scratch pool
+	if n := testing.AllocsPerRun(100, func() { LargestContour(m, 8, 160) }); n > 1 {
+		t.Fatalf("LargestContour allocates %v times per call, want at most 1 (the returned slice)", n)
+	}
+}
+
 // FuzzPackedKernels drives the same differential checks from the fuzzer so
 // CI's fuzz smoke explores sizes and densities the fixed tables miss.
 func FuzzPackedKernels(f *testing.F) {
@@ -278,5 +521,8 @@ func FuzzPackedKernels(f *testing.F) {
 		rt := New(w, h)
 		rt.FillRuns(a.AppendRuns(nil))
 		requireEqual(t, "Runs round-trip", rt, sa)
+		requireContours(t, "noise", a, sa, int(dens16%10))
+		r, sr := randRects(rng, w, h, 1+int(dens16%6))
+		requireContours(t, "rects", r, sr, int(dens16%10))
 	})
 }

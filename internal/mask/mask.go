@@ -18,6 +18,14 @@
 // implementation is retained as Scalar (scalar.go) and every packed kernel
 // is pinned byte-identical to it by differential tests.
 //
+// Contours (contour.go) come from union-find over packed row runs and a
+// Moore tracer over a bounding-box label plane filled from those runs. On
+// a 320x240 rectangle LargestContour — the wire and transfer path — takes
+// ~20 µs, 2.7 KB and 1 allocation per call, against 1.04 ms, 1.34 MB and
+// 34 allocations for the flood-fill original (ScalarExtractContours, its
+// differential oracle); ExtractContours is ~45-50x the oracle at 320x240
+// and ~65x at 640x480.
+//
 // Pool (pool.go) recycles mask backing storage so the steady-state tracking
 // loop performs zero mask allocations per frame; see DESIGN.md §12 for the
 // ownership rules.

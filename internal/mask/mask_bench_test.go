@@ -41,6 +41,16 @@ func BenchmarkExtractContours(b *testing.B) {
 	}
 }
 
+// BenchmarkLargestContour is the wire and transfer path: the longest
+// contour of the same fixture, simplified to the 160-point budget.
+func BenchmarkLargestContour(b *testing.B) {
+	m := benchMask(320, 240)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		LargestContour(m, 8, 160)
+	}
+}
+
 func BenchmarkFillPolygon(b *testing.B) {
 	m := benchMask(320, 240)
 	c := ExtractContours(m, 8)[0]

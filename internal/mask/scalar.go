@@ -321,6 +321,133 @@ func (s *Scalar) BoundaryNoise(targetIoU float64, rng func() float64) *Scalar {
 	return full
 }
 
+// ScalarExtractContours is the reference for ExtractContours and
+// LargestContour: the original full-frame flood-fill labelling and
+// per-component Moore trace, contour for contour and point for point.
+func ScalarExtractContours(s *Scalar, minArea int) []Contour {
+	var contours []Contour
+	labels := s.connectedComponents()
+	seen := make(map[int]bool)
+	for y := 0; y < s.Height; y++ {
+		for x := 0; x < s.Width; x++ {
+			lbl := labels[y*s.Width+x]
+			if lbl == 0 || seen[lbl] {
+				continue
+			}
+			seen[lbl] = true
+			// (x, y) is the top-left-most pixel of this component in scan
+			// order, a valid Moore-trace start.
+			c := s.traceBoundary(labels, lbl, x, y)
+			if scalarComponentArea(labels, lbl) >= minArea && len(c) > 0 {
+				contours = append(contours, c)
+			}
+		}
+	}
+	return contours
+}
+
+// connectedComponents labels 4-connected components starting at 1, in scan
+// order of each component's first pixel, by flood fill.
+func (s *Scalar) connectedComponents() []int {
+	labels := make([]int, s.Width*s.Height)
+	next := 0
+	var stack [][2]int
+	for y := 0; y < s.Height; y++ {
+		for x := 0; x < s.Width; x++ {
+			if !s.At(x, y) || labels[y*s.Width+x] != 0 {
+				continue
+			}
+			next++
+			stack = stack[:0]
+			stack = append(stack, [2]int{x, y})
+			labels[y*s.Width+x] = next
+			for len(stack) > 0 {
+				p := stack[len(stack)-1]
+				stack = stack[:len(stack)-1]
+				for _, d := range [4][2]int{{1, 0}, {-1, 0}, {0, 1}, {0, -1}} {
+					nx, ny := p[0]+d[0], p[1]+d[1]
+					if !s.At(nx, ny) {
+						continue
+					}
+					idx := ny*s.Width + nx
+					if labels[idx] == 0 {
+						labels[idx] = next
+						stack = append(stack, [2]int{nx, ny})
+					}
+				}
+			}
+		}
+	}
+	return labels
+}
+
+func scalarComponentArea(labels []int, lbl int) int {
+	n := 0
+	for _, l := range labels {
+		if l == lbl {
+			n++
+		}
+	}
+	return n
+}
+
+// traceBoundary walks the outer boundary of component lbl starting from its
+// scan-order-first pixel. dir encodes the direction of the last move as an
+// index into mooreOffsets; the next scan starts one past the backtrack
+// neighbour, clockwise. The walk stops at the first re-entry into the start
+// pixel once the contour holds two points, with no direction check.
+func (s *Scalar) traceBoundary(labels []int, lbl, sx, sy int) Contour {
+	inComp := func(x, y int) bool {
+		if x < 0 || y < 0 || x >= s.Width || y >= s.Height {
+			return false
+		}
+		return labels[y*s.Width+x] == lbl
+	}
+
+	contour := Contour{geom.V2(float64(sx), float64(sy))}
+
+	// Single-pixel component.
+	single := true
+	for _, d := range mooreOffsets {
+		if inComp(sx+d[0], sy+d[1]) {
+			single = false
+			break
+		}
+	}
+	if single {
+		return contour
+	}
+
+	cx, cy := sx, sy
+	// Scan order guarantees the west neighbour of the start pixel is
+	// outside the component, so pretend we arrived moving east.
+	const east = 4
+	dir := east
+
+	maxSteps := 8 * s.Width * s.Height
+	for step := 0; step < maxSteps; step++ {
+		found := false
+		start := (dir + 5) % 8 // one past the backtrack neighbour
+		for i := 0; i < 8; i++ {
+			d := (start + i) % 8
+			nx, ny := cx+mooreOffsets[d][0], cy+mooreOffsets[d][1]
+			if inComp(nx, ny) {
+				cx, cy, dir = nx, ny, d
+				found = true
+				break
+			}
+		}
+		if !found {
+			break
+		}
+		if cx == sx && cy == sy && len(contour) >= 2 {
+			break // boundary closed
+		}
+		contour = append(contour, geom.V2(float64(cx), float64(cy)))
+	}
+	return contour
+}
+
 // ScalarFillPolygon is the per-pixel reference for FillPolygon.
 func ScalarFillPolygon(vertices []geom.Vec2, width, height int) *Scalar {
 	out := NewScalar(width, height)

@@ -300,19 +300,12 @@ func (p *Predictor) Predict(sys *vo.System, instanceID, frameIdx int) (*Predicti
 		return nil, ErrNoDepth
 	}
 
-	contours := mask.ExtractContoursPooled(src.Mask, p.cfg.MinMaskArea, p.pool)
-	if len(contours) == 0 {
-		return nil, ErrNoSource
-	}
 	// Use the largest contour; cached instance masks are single components
 	// in practice but occlusion can fragment them.
-	contour := contours[0]
-	for _, c := range contours[1:] {
-		if len(c) > len(contour) {
-			contour = c
-		}
+	contour := mask.LargestContour(src.Mask, p.cfg.MinMaskArea, p.cfg.MaxContourPoints)
+	if len(contour) == 0 {
+		return nil, ErrNoSource
 	}
-	contour = mask.SimplifyContour(contour, p.cfg.MaxContourPoints)
 
 	projected := make([]geom.Vec2, 0, len(contour))
 	for _, s := range contour {

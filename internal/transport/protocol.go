@@ -143,16 +143,7 @@ func FromDetection(d segmodel.Detection, maxContour int) WireDetection {
 	if d.Mask != nil {
 		w.Width = int32(d.Mask.Width)
 		w.Height = int32(d.Mask.Height)
-		cs := mask.ExtractContours(d.Mask, 8)
-		if len(cs) > 0 {
-			longest := cs[0]
-			for _, c := range cs[1:] {
-				if len(c) > len(longest) {
-					longest = c
-				}
-			}
-			w.Contour = mask.SimplifyContour(longest, maxContour)
-		}
+		w.Contour = mask.LargestContour(d.Mask, 8, maxContour)
 	}
 	return w
 }
