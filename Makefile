@@ -25,10 +25,14 @@ vet: ## Standard static analysis.
 lint: ## Repo-specific determinism/concurrency analyzers (see DESIGN.md §11 and §16).
 	$(GO) run ./cmd/edgeis-lint ./...
 
-fuzz: ## Brief fuzz pass over the wire-protocol decoders and the packed mask kernels (contours included) against their scalar references.
+fuzz: ## Brief fuzz pass over all seven wire-protocol decoders and the packed mask kernels (contours included) against their scalar references.
 	$(GO) test -run=NONE -fuzz=FuzzUnmarshalFrame -fuzztime=$(FUZZTIME) ./internal/transport/
 	$(GO) test -run=NONE -fuzz=FuzzUnmarshalResult -fuzztime=$(FUZZTIME) ./internal/transport/
 	$(GO) test -run=NONE -fuzz=FuzzUnmarshalError -fuzztime=$(FUZZTIME) ./internal/transport/
+	$(GO) test -run=NONE -fuzz=FuzzUnmarshalReject -fuzztime=$(FUZZTIME) ./internal/transport/
+	$(GO) test -run=NONE -fuzz=FuzzUnmarshalShed -fuzztime=$(FUZZTIME) ./internal/transport/
+	$(GO) test -run=NONE -fuzz=^FuzzUnmarshalResume$$ -fuzztime=$(FUZZTIME) ./internal/transport/
+	$(GO) test -run=NONE -fuzz=FuzzUnmarshalResumeAck -fuzztime=$(FUZZTIME) ./internal/transport/
 	$(GO) test -run=NONE -fuzz=FuzzPackedKernels -fuzztime=$(FUZZTIME) ./internal/mask/
 
 bench: kernelbench ## Per-figure benchmarks plus the packed-kernel sweep.

@@ -8,8 +8,8 @@
 // The layering is:
 //
 //   - transport (package transport): framing and socket IO only. One
-//     goroutine per connection reads frames, submits them here, writes
-//     results or rejects back.
+//     goroutine per connection reads frames; each frame in flight submits
+//     here and writes its result, reject or shed notice back.
 //   - Session (this package): per-client state — identity, serving counters,
 //     and the CIIA guidance context that must survive across requests so a
 //     client's instructed areas keep accelerating its later frames.
@@ -27,7 +27,7 @@
 // With Workers=1 and the default policies the scheduler serializes
 // inference exactly like the old GPU mutex, which keeps single-client runs
 // deterministic; throughput scaling comes from raising Workers and, for
-// batch-capable accelerators, from cross-session batching.
+// Launchers, from cross-session batching.
 //
 // This package legitimately reads the wall clock (queue wait measurement,
 // session uptime): it serves real sockets in real time, like package

@@ -147,8 +147,8 @@ func (SingleDequeue) Window() time.Duration { return 0 }
 // ring order (one per session per pass, so gathering preserves fairness),
 // and if the batch is still underfull holds it open for GatherWindow before
 // launching. Real accelerators amortize kernel launches across a batch (cf.
-// YolactEdge's cross-frame compute sharing), which the BatchAccelerator's
-// amortized launch cost models.
+// YolactEdge's cross-frame compute sharing), which a Launcher's amortized
+// launch cost models.
 type GatherBatch struct {
 	// Max bounds the batch size; values below 1 mean 1.
 	Max int
@@ -198,33 +198,4 @@ type BatchClass struct {
 // decision.
 func ClassOf(in segmodel.Input, g segmodel.Guidance, keyframe bool) BatchClass {
 	return BatchClass{Width: in.Width, Height: in.Height, Guided: g != nil, Keyframe: keyframe}
-}
-
-// BatchAccelerator is an Accelerator that can serve a whole batch in one
-// amortized launch. Workers probe for it when a batch has more than one
-// job; accelerators that do not implement it serve batches serially (and
-// gain nothing from batching). The returned launchMs is the latency of the
-// whole launch — every job in the batch completes together, so each reports
-// launchMs as its inference latency.
-type BatchAccelerator interface {
-	Accelerator
-	// RunBatch serves len(ins) compatible jobs in one launch. gs[i] is the
-	// guidance of ins[i]; outs[i] its result.
-	RunBatch(ins []segmodel.Input, gs []segmodel.Guidance) (outs []*segmodel.Result, launchMs float64)
-}
-
-// WarpAccelerator is an Accelerator that can serve non-keyframe requests
-// from cached backbone features at the partial (warp) cost. Workers probe
-// for it when a job's keyframe decision says skip-compute; accelerators
-// that do not implement it serve the job at full cost (correct, just
-// unaccelerated — the decision still counts as a cache hit in stats, since
-// the cache state advanced on it).
-type WarpAccelerator interface {
-	Accelerator
-	// RunWarped serves one non-keyframe request under its decision.
-	RunWarped(in segmodel.Input, g segmodel.Guidance, d segmodel.KeyframeDecision) (out *segmodel.Result, inferMs float64)
-	// RunWarpedBatch serves a batch of non-keyframe requests in one
-	// amortized launch; the batch former guarantees a uniform keyframe
-	// class, so ds[i] are all non-keyframes.
-	RunWarpedBatch(ins []segmodel.Input, gs []segmodel.Guidance, ds []segmodel.KeyframeDecision) (outs []*segmodel.Result, launchMs float64)
 }

@@ -201,19 +201,19 @@ func (a *batchGateAccel) note(seeds []int64) {
 }
 
 func (a *batchGateAccel) Run(in segmodel.Input, g segmodel.Guidance) (*segmodel.Result, float64) {
-	a.note([]int64{in.Seed})
-	return &segmodel.Result{BackboneMs: 10}, 10
+	var outs [1]*segmodel.Result
+	ms := a.Launch([]Job{{In: in, G: g, D: segmodel.KeyframeDecision{Keyframe: true}}}, outs[:])
+	return outs[0], ms
 }
 
-func (a *batchGateAccel) RunBatch(ins []segmodel.Input, gs []segmodel.Guidance) ([]*segmodel.Result, float64) {
-	seeds := make([]int64, len(ins))
-	outs := make([]*segmodel.Result, len(ins))
-	for i, in := range ins {
-		seeds[i] = in.Seed
+func (a *batchGateAccel) Launch(jobs []Job, outs []*segmodel.Result) float64 {
+	seeds := make([]int64, len(jobs))
+	for i, j := range jobs {
+		seeds[i] = j.In.Seed
 		outs[i] = &segmodel.Result{BackboneMs: 10}
 	}
 	a.note(seeds)
-	return outs, 10
+	return 10
 }
 
 func (a *batchGateAccel) seen() [][]int64 {
@@ -438,24 +438,22 @@ func TestBatchCloseDrainsInFlightBatches(t *testing.T) {
 // the cost model the throughput comparison depends on.
 type batchSleepAccel struct{ d time.Duration }
 
-func (a batchSleepAccel) Run(segmodel.Input, segmodel.Guidance) (*segmodel.Result, float64) {
-	time.Sleep(a.d)
-	return &segmodel.Result{BackboneMs: 10}, 10
+func (a batchSleepAccel) Run(in segmodel.Input, g segmodel.Guidance) (*segmodel.Result, float64) {
+	var outs [1]*segmodel.Result
+	ms := a.Launch([]Job{{In: in, G: g, D: segmodel.KeyframeDecision{Keyframe: true}}}, outs[:])
+	return outs[0], ms
 }
 
-func (a batchSleepAccel) RunBatch(ins []segmodel.Input, gs []segmodel.Guidance) ([]*segmodel.Result, float64) {
-	solos := make([]float64, len(ins))
+func (a batchSleepAccel) Launch(jobs []Job, outs []*segmodel.Result) float64 {
+	solos := make([]float64, len(jobs))
 	soloMs := float64(a.d) / float64(time.Millisecond)
 	for i := range solos {
 		solos[i] = soloMs
+		outs[i] = &segmodel.Result{BackboneMs: 10}
 	}
 	ms := segmodel.BatchMs(solos)
 	time.Sleep(time.Duration(ms * float64(time.Millisecond)))
-	outs := make([]*segmodel.Result, len(ins))
-	for i := range outs {
-		outs[i] = &segmodel.Result{BackboneMs: 10}
-	}
-	return outs, ms
+	return ms
 }
 
 // TestBatchThroughputBeatsSingleDequeue pins the point of the batch former:

@@ -11,10 +11,33 @@ import (
 // Accelerator is one inference execution unit. Each scheduler worker owns
 // exactly one, so implementations need not be safe for concurrent use. The
 // returned inferMs is the simulated inference latency reported to clients.
-// Implementations that also satisfy BatchAccelerator serve multi-job
-// launches in one amortized call (see policy.go).
+// An Accelerator that is not a Launcher serves every job alone and at full
+// cost, whatever the batch former gathered or the keyframe decision said.
 type Accelerator interface {
 	Run(in segmodel.Input, g segmodel.Guidance) (out *segmodel.Result, inferMs float64)
+}
+
+// Job is one request as an accelerator launch sees it: the model input, its
+// resolved guidance and the session's keyframe decision for it.
+type Job struct {
+	In segmodel.Input
+	G  segmodel.Guidance
+	D  segmodel.KeyframeDecision
+}
+
+// Launcher is an Accelerator that serves any launch the scheduler forms in
+// one call: a single job or a gathered batch, keyframes at full cost or
+// non-keyframes from cached features at the partial warp cost. The batch
+// former never mixes batch classes (BatchClass), so one launch is uniform
+// in resolution, guidance and keyframe class. Workers call only Launch; a
+// Launcher's Run is a one-keyframe-job Launch for callers outside the
+// scheduler.
+type Launcher interface {
+	Accelerator
+	// Launch serves jobs in one amortized launch, storing job i's result
+	// in outs[i] (len(outs) == len(jobs)). Every job completes together, so
+	// the returned launchMs is each job's reported inference latency.
+	Launch(jobs []Job, outs []*segmodel.Result) (launchMs float64)
 }
 
 // Config assembles a scheduler.
@@ -40,7 +63,7 @@ type Config struct {
 	Dequeue DequeuePolicy
 	// Keyframe enables temporal-redundancy skip-compute: sessions keep a
 	// feature cache of their last keyframe and non-keyframe requests are
-	// served at the partial warp cost by WarpAccelerator workers. The zero
+	// served at the partial warp cost by Launcher workers. The zero
 	// policy (Interval 0) disables it — every request is a keyframe and
 	// behaviour is byte-identical to a build without the cache.
 	Keyframe segmodel.KeyframePolicy
@@ -51,11 +74,9 @@ const DefaultQueueDepth = 32
 
 // job is one admitted request waiting for an accelerator.
 type job struct {
+	Job
 	sess     *Session
-	in       segmodel.Input
-	g        segmodel.Guidance
 	class    BatchClass
-	decision segmodel.KeyframeDecision
 	enqueued time.Time
 	done     chan jobResult
 }
@@ -284,7 +305,7 @@ func (s *Scheduler) Ledger() metrics.Ledger {
 // frame warps from a pyramid that was never computed.
 func (s *Scheduler) infer(sess *Session, in segmodel.Input, g segmodel.Guidance) (*segmodel.Result, float64, error) {
 	d := sess.decide(in, g)
-	j := &job{sess: sess, in: in, g: g, class: ClassOf(in, g, d.Keyframe), decision: d,
+	j := &job{Job: Job{In: in, G: g, D: d}, sess: sess, class: ClassOf(in, g, d.Keyframe),
 		enqueued: time.Now(), done: make(chan jobResult, 1)}
 	s.mu.Lock()
 	if s.closed || sess.closed {
@@ -311,7 +332,7 @@ func (s *Scheduler) infer(sess *Session, in segmodel.Input, g segmodel.Guidance)
 	s.cond.Signal()
 	s.mu.Unlock()
 	if stale != nil {
-		sess.lost(stale.decision, ErrShed)
+		sess.lost(stale.D, ErrShed)
 	}
 
 	r := <-j.done
@@ -322,13 +343,14 @@ func (s *Scheduler) infer(sess *Session, in segmodel.Input, g segmodel.Guidance)
 // round-robin across sessions) or the scheduler is closed and drained; nil
 // means exit. Under GatherBatch it extends the head job with compatible
 // queued work, holding an underfull batch open for the gather window. Jobs
-// count as in flight from the moment they leave the queue.
-func (s *Scheduler) nextBatch() []*job {
+// count as in flight from the moment they leave the queue. The batch is
+// appended to buf[:0], the calling worker's scratch.
+func (s *Scheduler) nextBatch(buf []*job) []*job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
 		if s.queue.Len() > 0 {
-			batch := s.queue.Gather([]*job{s.queue.TakeHead()}, s.maxBatch)
+			batch := s.queue.Gather(append(buf[:0], s.queue.TakeHead()), s.maxBatch)
 			s.inflight += len(batch)
 			if len(batch) < s.maxBatch && s.window > 0 && !s.closed {
 				// Gather window: hold the underfull batch open so jobs
@@ -353,66 +375,41 @@ func (s *Scheduler) nextBatch() []*job {
 	}
 }
 
-// worker serves requests on one accelerator until close-and-drain.
+// worker serves requests on one accelerator until close-and-drain. Its
+// batch, launch and latency slices are scratch reused across launches:
+// waiters receive results by pointer, never a view into the scratch.
 func (s *Scheduler) worker(acc Accelerator) {
 	defer s.wg.Done()
-	bacc, canBatch := acc.(BatchAccelerator)
-	wacc, canWarp := acc.(WarpAccelerator)
+	launcher, _ := acc.(Launcher)
+	var (
+		batch         []*job
+		jobs          []Job
+		outs          []*segmodel.Result
+		perMs, waitMs []float64
+	)
 	for {
-		batch := s.nextBatch()
-		if batch == nil {
+		if batch = s.nextBatch(batch); batch == nil {
 			return
 		}
-		waitMs := make([]float64, len(batch))
+		n := len(batch)
+		outs, perMs, waitMs = resize(outs, n), resize(perMs, n), resize(waitMs, n)
 		for i, j := range batch {
 			waitMs[i] = float64(time.Since(j.enqueued)) / float64(time.Millisecond)
 		}
-
-		// The batch former never mixes keyframe classes (BatchClass
-		// includes Keyframe), so one probe of the head job decides the
-		// launch shape for the whole batch.
-		warp := canWarp && !batch[0].decision.Keyframe
-
-		outs := make([]*segmodel.Result, len(batch))
-		perMs := make([]float64, len(batch))
-		switch {
-		case len(batch) == 1:
-			if warp {
-				outs[0], perMs[0] = wacc.RunWarped(batch[0].in, batch[0].g, batch[0].decision)
-			} else {
-				outs[0], perMs[0] = acc.Run(batch[0].in, batch[0].g)
+		if launcher != nil {
+			jobs = jobs[:0]
+			for _, j := range batch {
+				jobs = append(jobs, j.Job)
 			}
-		case canBatch:
-			ins := make([]segmodel.Input, len(batch))
-			gs := make([]segmodel.Guidance, len(batch))
-			for i, j := range batch {
-				ins[i], gs[i] = j.in, j.g
-			}
-			var bouts []*segmodel.Result
-			var launchMs float64
-			if warp {
-				ds := make([]segmodel.KeyframeDecision, len(batch))
-				for i, j := range batch {
-					ds[i] = j.decision
-				}
-				bouts, launchMs = wacc.RunWarpedBatch(ins, gs, ds)
-			} else {
-				bouts, launchMs = bacc.RunBatch(ins, gs)
-			}
-			copy(outs, bouts)
-			// Every job in the launch completes together.
+			launchMs := launcher.Launch(jobs, outs)
 			for i := range perMs {
 				perMs[i] = launchMs
 			}
-		default:
-			// The accelerator cannot batch: serve serially. Correct but
-			// unamortized — batching pays off only with a BatchAccelerator.
+		} else {
+			// Serial and unamortized: a plain Accelerator gains nothing from
+			// batching or from a non-keyframe decision.
 			for i, j := range batch {
-				if warp {
-					outs[i], perMs[i] = wacc.RunWarped(j.in, j.g, j.decision)
-				} else {
-					outs[i], perMs[i] = acc.Run(j.in, j.g)
-				}
+				outs[i], perMs[i] = acc.Run(j.In, j.G)
 			}
 		}
 
@@ -422,7 +419,7 @@ func (s *Scheduler) worker(acc Accelerator) {
 		if s.keyframe.Enabled() {
 			// Partition served by keyframe class; the class is uniform
 			// across the batch.
-			if batch[0].decision.Keyframe {
+			if batch[0].D.Keyframe {
 				s.led.Classify(len(batch), 0)
 			} else {
 				s.led.Classify(0, len(batch))
@@ -445,7 +442,19 @@ func (s *Scheduler) worker(acc Accelerator) {
 			j.sess.noteServed(perMs[i], waitMs[i])
 			j.done <- jobResult{out: outs[i], inferMs: perMs[i]}
 		}
+		// Unpin the served requests until the next launch overwrites them.
+		clear(batch)
+		clear(jobs)
+		clear(outs)
 	}
+}
+
+// resize returns buf with length n, reusing its storage when it fits.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }
 
 // closeSession implements Session.Close.

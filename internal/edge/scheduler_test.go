@@ -504,3 +504,34 @@ func TestSchedulerSessionAccounting(t *testing.T) {
 		t.Errorf("closed session submit: %v", err)
 	}
 }
+
+// noopAccel answers instantly with one shared result.
+type noopAccel struct{ out segmodel.Result }
+
+func (a *noopAccel) Run(segmodel.Input, segmodel.Guidance) (*segmodel.Result, float64) {
+	return &a.out, 0
+}
+
+// TestInferAllocs pins the scheduler's own per-request allocations in front
+// of an accelerator that does nothing: the request and its completion
+// channel, the admission bookkeeping, and no per-launch slices — the worker
+// keeps those as scratch.
+func TestInferAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	s := NewScheduler(Config{NewAccelerator: func(int) Accelerator { return &noopAccel{} }})
+	defer func() { _ = s.Close() }()
+	sess := s.NewSession("allocs")
+	defer sess.Close()
+	in := segmodel.Input{Width: 320, Height: 240}
+	allocs := testing.AllocsPerRun(2000, func() {
+		if _, _, err := sess.Infer(in, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.2f allocs per request", allocs)
+	if allocs > 6 {
+		t.Errorf("Session.Infer allocates %.2f times per request, want <= 6", allocs)
+	}
+}

@@ -63,26 +63,25 @@ type warpCountAccel struct {
 }
 
 func (a *warpCountAccel) Run(in segmodel.Input, g segmodel.Guidance) (*segmodel.Result, float64) {
-	a.mu.Lock()
-	a.full++
-	a.mu.Unlock()
-	return &segmodel.Result{BackboneMs: 36}, 36
+	var outs [1]*segmodel.Result
+	ms := a.Launch([]Job{{In: in, G: g, D: segmodel.KeyframeDecision{Keyframe: true}}}, outs[:])
+	return outs[0], ms
 }
 
-func (a *warpCountAccel) RunWarped(in segmodel.Input, g segmodel.Guidance, d segmodel.KeyframeDecision) (*segmodel.Result, float64) {
+func (a *warpCountAccel) Launch(jobs []Job, outs []*segmodel.Result) float64 {
+	solos := make([]float64, len(jobs))
 	a.mu.Lock()
-	a.warp++
-	a.mu.Unlock()
-	return &segmodel.Result{BackboneMs: 6, Warped: true, CacheAge: d.Age}, 6
-}
-
-func (a *warpCountAccel) RunWarpedBatch(ins []segmodel.Input, gs []segmodel.Guidance, ds []segmodel.KeyframeDecision) ([]*segmodel.Result, float64) {
-	outs := make([]*segmodel.Result, len(ins))
-	solos := make([]float64, len(ins))
-	for i := range ins {
-		outs[i], solos[i] = a.RunWarped(ins[i], gs[i], ds[i])
+	defer a.mu.Unlock()
+	for i, j := range jobs {
+		if j.D.Keyframe {
+			a.full++
+			outs[i], solos[i] = &segmodel.Result{BackboneMs: 36}, 36
+		} else {
+			a.warp++
+			outs[i], solos[i] = &segmodel.Result{BackboneMs: 6, Warped: true, CacheAge: j.D.Age}, 6
+		}
 	}
-	return outs, segmodel.BatchMs(solos)
+	return segmodel.BatchMs(solos)
 }
 
 func (a *warpCountAccel) counts() (full, warp int) {

@@ -18,11 +18,11 @@ var LockBlock = &Analyzer{
 
 While a sync.Mutex/RWMutex is held, the critical section must not block:
 channel sends and receives, select statements without a default case,
-net.Conn I/O (direct or via a same-package helper), Accelerator
-Run/RunBatch, and calls into same-package methods that themselves take a
-lock are all flagged. Bounded, reviewed exceptions (a buffered
-single-sender channel, a serialized connection writer) must be annotated
-//edgeis:lockheld <reason>.`,
+net.Conn I/O (direct or via a same-package helper), Run or Launch on an
+Accelerator or Launcher, and calls into same-package methods that
+themselves take a lock are all flagged. Bounded, reviewed exceptions (a
+buffered single-sender channel, a serialized connection writer) must be
+annotated //edgeis:lockheld <reason>.`,
 	Run: runLockBlock,
 }
 
@@ -91,7 +91,7 @@ func classifyBlockingCall(pass *Pass, call *ast.CallExpr, lockTakers, netIOFuncs
 		return "net.Conn I/O", true
 	}
 	if name, ok := isAcceleratorRun(pass, call); ok {
-		return "Accelerator." + name, true
+		return name, true
 	}
 	fn := calleeFunc(pass, call)
 	if fn == nil {
@@ -171,17 +171,18 @@ func netConnType(pass *Pass) *types.Interface {
 	return nil
 }
 
-// isAcceleratorRun reports whether call is Run or RunBatch on a receiver
-// whose (possibly dereferenced) named type is called Accelerator — the
-// serving stack's inference interface, whose calls model real device
-// latency and must never run under a scheduler lock.
+// isAcceleratorRun reports whether call is Run or Launch on a receiver
+// whose (possibly dereferenced) named type is called Accelerator or
+// Launcher — the serving stack's inference interfaces, whose calls model
+// real device latency and must never run under a scheduler lock. It
+// returns the call as Type.Method.
 func isAcceleratorRun(pass *Pass, call *ast.CallExpr) (string, bool) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return "", false
 	}
 	switch sel.Sel.Name {
-	case "Run", "RunBatch":
+	case "Run", "Launch":
 	default:
 		return "", false
 	}
@@ -194,8 +195,12 @@ func isAcceleratorRun(pass *Pass, call *ast.CallExpr) (string, bool) {
 		t = p.Elem()
 	}
 	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Name() != "Accelerator" {
+	if !ok {
 		return "", false
 	}
-	return sel.Sel.Name, true
+	switch name := named.Obj().Name(); name {
+	case "Accelerator", "Launcher":
+		return name + "." + sel.Sel.Name, true
+	}
+	return "", false
 }

@@ -1,7 +1,7 @@
 // Fixture for the lockblock analyzer: no blocking operation — channel
 // send/receive, select without default, net.Conn I/O (direct or one call
-// away), Accelerator.Run, or a call into a lock-taking method — while a
-// mutex is held.
+// away), Accelerator.Run, Launcher.Launch, or a call into a lock-taking
+// method — while a mutex is held.
 package lockblk
 
 import (
@@ -13,11 +13,17 @@ type Accelerator interface {
 	Run(x int) int
 }
 
+type Launcher interface {
+	Accelerator
+	Launch(xs []int) int
+}
+
 type srv struct {
 	mu   sync.Mutex
 	ch   chan int
 	conn net.Conn
 	acc  Accelerator
+	l    Launcher
 	n    int
 }
 
@@ -70,6 +76,14 @@ func connWriteViaHelper(s *srv, buf []byte) {
 func runHeld(s *srv, x int) int {
 	s.mu.Lock()
 	v := s.acc.Run(x) // want "Accelerator.Run while holding s.mu"
+	s.mu.Unlock()
+	return v
+}
+
+// Flagged: so is a launch, one job or a gathered batch.
+func launchHeld(s *srv, xs []int) int {
+	s.mu.Lock()
+	v := s.l.Launch(xs) // want "Launcher.Launch while holding s.mu"
 	s.mu.Unlock()
 	return v
 }

@@ -223,9 +223,14 @@ func TestServerRejectsBecomeDroppedOffloads(t *testing.T) {
 			Quality:      func(x, y int) float64 { return 1 },
 		}
 	}
-	for i, b := range occupiers {
-		b.Submit(req(i), 0)
-	}
+	// One at a time: a second frame landing before the worker has dequeued
+	// the first would find the depth-1 queue full and be rejected itself.
+	occupiers[0].Submit(req(0), 0)
+	waitFor("worker occupied", func() bool {
+		s := srv.Stats().Scheduler
+		return s.InFlight == 1 && s.Queued == 0
+	})
+	occupiers[1].Submit(req(1), 0)
 	waitFor("worker and queue occupied", func() bool {
 		s := srv.Stats().Scheduler
 		return s.InFlight == 1 && s.Queued == 1

@@ -116,65 +116,40 @@ func msSince(start time.Time) float64 {
 	return float64(time.Since(start)) / float64(time.Millisecond)
 }
 
-// clipAccelerator is the scheduler target's accelerator: it holds the
-// worker for a fraction of the session clip's nominal inference latency.
-// The session index rides in Input.Seed.
+// clipAccelerator is the scheduler target's edge.Launcher: a launch holds
+// the worker for a fraction of its amortized nominal latency — the clip's
+// InferMs for a keyframe, its WarpMs for a non-keyframe — which is what lets
+// batching and skip-compute show up as wall-clock throughput here. The
+// session index rides in Input.Seed.
 type clipAccelerator struct {
 	p     loadgen.Profile
 	scale float64
 	frac  float64
+	solos []float64 // Launch scratch; one worker owns the accelerator
 }
 
-func (a *clipAccelerator) soloMs(in segmodel.Input) float64 {
-	return a.p.ClipFor(int(in.Seed)).InferMs
-}
-
+// Run serves one keyframe job.
 func (a *clipAccelerator) Run(in segmodel.Input, g segmodel.Guidance) (*segmodel.Result, float64) {
-	inferMs := a.soloMs(in)
-	time.Sleep(time.Duration(inferMs * a.frac * a.scale * float64(time.Millisecond)))
-	return nil, inferMs
+	var outs [1]*segmodel.Result
+	return nil, a.Launch([]edge.Job{{In: in, G: g, D: segmodel.KeyframeDecision{Keyframe: true}}}, outs[:])
 }
 
-// RunBatch implements edge.BatchAccelerator: one gathered launch holds the
-// worker for the amortized batch cost instead of the serial sum, which is
-// what lets the batch former show up as wall-clock throughput here.
-func (a *clipAccelerator) RunBatch(ins []segmodel.Input, gs []segmodel.Guidance) ([]*segmodel.Result, float64) {
-	solos := make([]float64, len(ins))
-	for i, in := range ins {
-		solos[i] = a.soloMs(in)
+// Launch serves one or more jobs in one amortized launch; there is no model
+// behind it, so every output is nil.
+func (a *clipAccelerator) Launch(jobs []edge.Job, outs []*segmodel.Result) float64 {
+	a.solos = a.solos[:0]
+	for i, j := range jobs {
+		clip := a.p.ClipFor(int(j.In.Seed))
+		ms := clip.InferMs
+		if !j.D.Keyframe {
+			ms = clip.WarpMs
+		}
+		outs[i] = nil
+		a.solos = append(a.solos, ms)
 	}
-	launchMs := segmodel.BatchMs(solos)
+	launchMs := segmodel.BatchMs(a.solos)
 	time.Sleep(time.Duration(launchMs * a.frac * a.scale * float64(time.Millisecond)))
-	return make([]*segmodel.Result, len(ins)), launchMs
-}
-
-// warpMs is the cost of one job under its keyframe decision: keyframes pay
-// the clip's full inference latency, non-keyframes its warp latency.
-func (a *clipAccelerator) warpMs(in segmodel.Input, d segmodel.KeyframeDecision) float64 {
-	if d.Keyframe {
-		return a.soloMs(in)
-	}
-	return a.p.ClipFor(int(in.Seed)).WarpMs
-}
-
-// RunWarped implements edge.WarpAccelerator: a non-keyframe holds the
-// worker for the clip's warp cost, which is where skip-compute buys
-// wall-clock throughput on this target.
-func (a *clipAccelerator) RunWarped(in segmodel.Input, g segmodel.Guidance, d segmodel.KeyframeDecision) (*segmodel.Result, float64) {
-	inferMs := a.warpMs(in, d)
-	time.Sleep(time.Duration(inferMs * a.frac * a.scale * float64(time.Millisecond)))
-	return nil, inferMs
-}
-
-// RunWarpedBatch implements edge.WarpAccelerator for gathered launches.
-func (a *clipAccelerator) RunWarpedBatch(ins []segmodel.Input, gs []segmodel.Guidance, ds []segmodel.KeyframeDecision) ([]*segmodel.Result, float64) {
-	solos := make([]float64, len(ins))
-	for i, in := range ins {
-		solos[i] = a.warpMs(in, ds[i])
-	}
-	launchMs := segmodel.BatchMs(solos)
-	time.Sleep(time.Duration(launchMs * a.frac * a.scale * float64(time.Millisecond)))
-	return make([]*segmodel.Result, len(ins)), launchMs
+	return launchMs
 }
 
 // edgeConfig resolves the profile's policies onto a scheduler

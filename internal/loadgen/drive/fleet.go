@@ -56,9 +56,14 @@ func (f *fleetState) kill(r int) bool {
 	return true
 }
 
-// startKillers arms one timer per configured kill and returns a WaitGroup
-// the caller waits on after the generation horizon.
-func startKillers(p loadgen.Profile, o Options, start time.Time, fs *fleetState, kill func(r int)) *sync.WaitGroup {
+// startKillers arms one goroutine per configured kill and returns a
+// WaitGroup the caller waits on after the generation horizon. A kill fires
+// at its AtMs if busy reports the doomed replica holding queued or
+// in-flight work, else at the first instant after it that it does, so the
+// kill lands on frames to migrate; at the generation horizon it fires
+// regardless.
+func startKillers(p loadgen.Profile, o Options, start time.Time, fs *fleetState, busy func(r int) bool, kill func(r int)) *sync.WaitGroup {
+	horizon := start.Add(time.Duration(p.DurationMs * o.TimeScale * float64(time.Millisecond)))
 	var killers sync.WaitGroup
 	for _, k := range p.Kills {
 		if k.Replica < 0 || k.Replica >= p.Replicas {
@@ -68,6 +73,9 @@ func startKillers(p loadgen.Profile, o Options, start time.Time, fs *fleetState,
 		go func(k loadgen.ReplicaKill) {
 			defer killers.Done()
 			sleepUntil(start, k.AtMs, o.TimeScale)
+			for !busy(k.Replica) && time.Now().Before(horizon) {
+				time.Sleep(250 * time.Microsecond)
+			}
 			if fs.kill(k.Replica) {
 				kill(k.Replica)
 			}
@@ -169,7 +177,9 @@ func RunScheduler(p loadgen.Profile, opts Options) (*loadgen.SLO, error) {
 	fs := newFleetState(p.Replicas)
 	a := &agg{servedBy: make([]int, p.Sessions)}
 	start := time.Now()
-	killers := startKillers(p, o, start, fs, func(r int) { _ = scheds[r].Close() })
+	killers := startKillers(p, o, start, fs,
+		func(r int) bool { return scheds[r].QueueSnapshot().Backlog() > 0 },
+		func(r int) { _ = scheds[r].Close() })
 
 	var fleetWg sync.WaitGroup
 	for i := 0; i < p.Sessions; i++ {
@@ -345,7 +355,8 @@ func RunTCP(p loadgen.Profile, opts Options) (*loadgen.SLO, error) {
 	fs := newFleetState(p.Replicas)
 	a := &agg{servedBy: make([]int, p.Sessions)}
 	start := time.Now()
-	killers := startKillers(p, o, start, fs, closeSrv)
+	killers := startKillers(p, o, start, fs,
+		func(r int) bool { return servers[r].Scheduler().QueueSnapshot().Backlog() > 0 }, closeSrv)
 
 	var fleetWg sync.WaitGroup
 	sessErrs := make([]error, p.Sessions)

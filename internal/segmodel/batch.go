@@ -40,23 +40,3 @@ func BatchMs(soloMs []float64) float64 {
 	}
 	return max + BatchMarginalFrac*(sum-max)
 }
-
-// RunBatch serves len(ins) frames in one amortized launch: each frame's
-// output is exactly what Run would produce (outputs are a pure function of
-// the frame's own input and seed, so batching never changes results), and
-// launchMs is the amortized latency of the whole launch per BatchMs. gs[i]
-// is the guidance of ins[i]; callers batch only frames of one guidance
-// class, but RunBatch itself does not care.
-func (m *Model) RunBatch(ins []Input, gs []Guidance) (outs []*Result, launchMs float64) {
-	outs = make([]*Result, len(ins))
-	solos := make([]float64, len(ins))
-	for i, in := range ins {
-		outs[i] = m.Run(in, gs[i])
-		// Clamp defensively: a profile with negative cost fields must not
-		// leak negative solo latencies into the amortization.
-		if solos[i] = outs[i].TotalMs(); solos[i] < 0 {
-			solos[i] = 0
-		}
-	}
-	return outs, BatchMs(solos)
-}

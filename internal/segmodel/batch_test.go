@@ -29,38 +29,3 @@ func TestBatchMsAmortizes(t *testing.T) {
 		t.Errorf("batch-8 cost %v, want %v", got, want)
 	}
 }
-
-func TestRunBatchMatchesSoloRuns(t *testing.T) {
-	m := New(MaskRCNN)
-	ins := make([]Input, 4)
-	gs := make([]Guidance, 4)
-	for i := range ins {
-		ins[i] = testInput(int64(100 + i))
-	}
-	outs, launchMs := m.RunBatch(ins, gs)
-	if len(outs) != len(ins) {
-		t.Fatalf("got %d outputs, want %d", len(outs), len(ins))
-	}
-	solos := make([]float64, len(ins))
-	for i, in := range ins {
-		want := New(MaskRCNN).Run(in, gs[i])
-		if outs[i].TotalMs() != want.TotalMs() || len(outs[i].Detections) != len(want.Detections) {
-			t.Errorf("frame %d: batched output differs from solo run", i)
-		}
-		solos[i] = want.TotalMs()
-	}
-	if want := BatchMs(solos); math.Abs(launchMs-want) > 1e-9 {
-		t.Errorf("launch latency %v, want BatchMs %v", launchMs, want)
-	}
-	if launchMs >= sum(solos) {
-		t.Errorf("launch latency %v not amortized below serial %v", launchMs, sum(solos))
-	}
-}
-
-func sum(xs []float64) float64 {
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s
-}

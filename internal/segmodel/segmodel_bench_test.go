@@ -35,21 +35,6 @@ func BenchmarkMaskRCNNGuided(b *testing.B) {
 	}
 }
 
-// BenchmarkMaskRCNNRunBatch measures a 4-frame amortized batch launch; the
-// per-frame figure divides by 4 for comparison with the solo benchmarks.
-func BenchmarkMaskRCNNRunBatch(b *testing.B) {
-	model := New(MaskRCNN)
-	ins := []Input{testInput(1), testInput(2), testInput(3), testInput(4)}
-	gs := make([]Guidance, len(ins))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		for j := range ins {
-			ins[j].Seed = int64(i*len(ins) + j)
-		}
-		model.RunBatch(ins, gs)
-	}
-}
-
 // BenchmarkMaskRCNNWarped measures the cached/non-keyframe skip-compute
 // path (partial backbone over warped features).
 func BenchmarkMaskRCNNWarped(b *testing.B) {

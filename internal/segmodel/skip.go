@@ -432,16 +432,3 @@ func (m *Model) RunWarped(in Input, g Guidance, d KeyframeDecision) *Result {
 	}
 	return m.runOneStage(in, rng, w)
 }
-
-// RunBatchWarped is RunBatch with a keyframe decision per frame. Callers
-// batch only frames of one keyframe class (the scheduler's batch former
-// enforces this), but like RunBatch it does not itself care.
-func (m *Model) RunBatchWarped(ins []Input, gs []Guidance, ds []KeyframeDecision) (outs []*Result, launchMs float64) {
-	outs = make([]*Result, len(ins))
-	solos := make([]float64, len(ins))
-	for i, in := range ins {
-		outs[i] = m.RunWarped(in, gs[i], ds[i])
-		solos[i] = outs[i].TotalMs()
-	}
-	return outs, BatchMs(solos)
-}

@@ -398,39 +398,3 @@ func TestBatchMsClampsNegativeSolos(t *testing.T) {
 		t.Errorf("BatchMs({10,6,4}) = %v, want %v", got, want)
 	}
 }
-
-func TestRunBatchClampsNegativeCost(t *testing.T) {
-	m := New(YOLACT)
-	m.Profile.BackboneMs = -500 // deliberately miscalibrated
-	ins := []Input{testInput(1), testInput(2)}
-	_, launchMs := m.RunBatch(ins, []Guidance{nil, nil})
-	if launchMs < 0 {
-		t.Errorf("RunBatch launchMs = %v, want >= 0", launchMs)
-	}
-}
-
-func TestRunBatchWarpedMatchesRunWarped(t *testing.T) {
-	m := New(MaskRCNN)
-	ins := []Input{testInput(1), testInput(2), testInput(3)}
-	gs := []Guidance{nil, nil, nil}
-	ds := []KeyframeDecision{
-		{Keyframe: true, Reason: KeyInterval},
-		{Age: 1, ChangedTiles: 2},
-		{Age: 2, ChangedTiles: 0},
-	}
-	outs, launchMs := m.RunBatchWarped(ins, gs, ds)
-	solos := make([]float64, len(ins))
-	for i := range ins {
-		want := m.Clone().RunWarped(ins[i], gs[i], ds[i])
-		if outs[i].TotalMs() != want.TotalMs() || len(outs[i].Detections) != len(want.Detections) {
-			t.Fatalf("frame %d: batched output differs from solo RunWarped", i)
-		}
-		if outs[i].Warped != want.Warped {
-			t.Fatalf("frame %d: Warped flag differs", i)
-		}
-		solos[i] = want.TotalMs()
-	}
-	if launchMs != BatchMs(solos) {
-		t.Errorf("launchMs = %v, want BatchMs %v", launchMs, BatchMs(solos))
-	}
-}

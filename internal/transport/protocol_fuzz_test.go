@@ -111,6 +111,104 @@ func FuzzUnmarshalError(f *testing.F) {
 	})
 }
 
+// FuzzUnmarshalReject: decode must never panic, and accepted payloads
+// round-trip to the same frame index and the same bytes.
+func FuzzUnmarshalReject(f *testing.F) {
+	valid := MarshalReject(17)
+	f.Add(valid)
+	f.Add(MarshalReject(-1))
+	for _, c := range corruptions(valid) {
+		f.Add(c)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		idx, err := UnmarshalReject(data)
+		if err != nil {
+			return
+		}
+		b2 := MarshalReject(idx)
+		if got, err := UnmarshalReject(b2); err != nil || got != idx {
+			t.Fatalf("reject did not round-trip: %d %v", got, err)
+		}
+		if !bytes.Equal(b2, data) {
+			t.Fatal("reject encoding is not canonical")
+		}
+	})
+}
+
+// FuzzUnmarshalShed is the shed-notice twin of FuzzUnmarshalReject.
+func FuzzUnmarshalShed(f *testing.F) {
+	valid := MarshalShed(23, ShedStaleReplaced)
+	f.Add(valid)
+	f.Add(MarshalShed(0, 0))
+	for _, c := range corruptions(valid) {
+		f.Add(c)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		idx, reason, err := UnmarshalShed(data)
+		if err != nil {
+			return
+		}
+		b2 := MarshalShed(idx, reason)
+		if gotIdx, gotReason, err := UnmarshalShed(b2); err != nil || gotIdx != idx || gotReason != reason {
+			t.Fatalf("shed did not round-trip: %d/%d %v", gotIdx, gotReason, err)
+		}
+		if !bytes.Equal(b2, data) {
+			t.Fatal("shed encoding is not canonical")
+		}
+	})
+}
+
+// FuzzUnmarshalResume covers the session-resume handshake: no panic, and
+// accepted payloads re-encode canonically.
+func FuzzUnmarshalResume(f *testing.F) {
+	valid := MarshalResume(&ResumeMsg{SessionKey: "sess-7", LastKeyframeEpoch: 41})
+	f.Add(valid)
+	f.Add(MarshalResume(&ResumeMsg{SessionKey: "k", LastKeyframeEpoch: -1}))
+	for _, c := range corruptions(valid) {
+		f.Add(c)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		msg, err := UnmarshalResume(data)
+		if err != nil {
+			return
+		}
+		b2 := MarshalResume(msg)
+		msg2, err := UnmarshalResume(b2)
+		if err != nil || *msg2 != *msg {
+			t.Fatalf("resume did not round-trip: %+v %v", msg2, err)
+		}
+		if !bytes.Equal(b2, data) {
+			t.Fatal("resume encoding is not canonical")
+		}
+	})
+}
+
+// FuzzUnmarshalResumeAck covers the handshake reply. Any nonzero adopted
+// byte decodes as true, so canonicality is checked on the re-encoding.
+func FuzzUnmarshalResumeAck(f *testing.F) {
+	valid := MarshalResumeAck(&ResumeAckMsg{SessionKey: "sess-7", Adopted: true,
+		Peers: []string{"127.0.0.1:7611", "127.0.0.1:7612"}})
+	f.Add(valid)
+	f.Add(MarshalResumeAck(&ResumeAckMsg{SessionKey: "k"}))
+	for _, c := range corruptions(valid) {
+		f.Add(c)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		msg, err := UnmarshalResumeAck(data)
+		if err != nil {
+			return
+		}
+		b2 := MarshalResumeAck(msg)
+		msg2, err := UnmarshalResumeAck(b2)
+		if err != nil {
+			t.Fatalf("re-decode of re-encoded resume ack failed: %v", err)
+		}
+		if b3 := MarshalResumeAck(msg2); !bytes.Equal(b2, b3) {
+			t.Fatal("resume ack encoding is not canonical under round trip")
+		}
+	})
+}
+
 // TestTruncatedMessagesRejected pins the strict framing contract: every
 // strict prefix of a valid message must be rejected, never silently
 // decoded into a shorter message.

@@ -17,9 +17,9 @@ import (
 // decodes offloaded frames and streams results back. Everything between
 // decode and encode — admission control, per-client session state, the
 // accelerator pool — lives in package edge; this type owns only framing and
-// socket IO. One goroutine per connection submits to the shared
-// edge.Scheduler and relays the outcome: a result, or a per-frame reject
-// when the admission queue is full.
+// socket IO. One goroutine per connection reads frames; each frame in
+// flight submits to the shared edge.Scheduler and relays the outcome: a
+// result, or a per-frame reject or shed notice.
 type Server struct {
 	model *segmodel.Model
 	// InferScale multiplies simulated inference latency (device profile).
@@ -46,7 +46,7 @@ type Server struct {
 	// zero policy (the default) is byte-identical to no cache at all.
 	keyframe segmodel.KeyframePolicy
 	// connPipeline bounds a connection's outstanding frames. 1 (the
-	// default) is the historical serial loop: read, infer, write, repeat.
+	// default) serves one frame at a time: read, infer, write, repeat.
 	// Higher values let a connection keep several frames in flight, which
 	// both overlaps uplink with inference and gives the latest-wins
 	// admission policy stale queued frames to displace.
@@ -149,9 +149,10 @@ func WithKeyframePolicy(p segmodel.KeyframePolicy) ServerOption {
 }
 
 // WithConnPipeline lets each connection keep up to n frames in flight
-// instead of the serial read-infer-write loop. Values below 2 keep the
-// serial loop. Latest-wins shedding over TCP needs n >= 2: a serial
-// connection never has a stale frame queued to displace.
+// instead of one. Values below 2 leave the default: one frame, or four
+// under a shedding admission policy. Latest-wins shedding over TCP needs
+// n >= 2: a one-frame connection never has a stale frame queued to
+// displace.
 func WithConnPipeline(n int) ServerOption {
 	return func(s *Server) {
 		if n > 1 {
@@ -186,69 +187,39 @@ func WithConnWriteTimeout(d time.Duration) ServerOption {
 	return func(s *Server) { s.writeTimeout = d }
 }
 
-// modelAccelerator adapts one model clone to the scheduler's Accelerator
+// modelAccelerator adapts one model clone to the scheduler's edge.Launcher
 // contract, applying the device latency scale and optional wall occupancy.
 type modelAccelerator struct {
 	model     *segmodel.Model
 	scale     float64
 	occupancy float64
+	solos     []float64 // Launch scratch; one worker owns the accelerator
 }
 
+// Run serves one keyframe job.
 func (a *modelAccelerator) Run(in segmodel.Input, g segmodel.Guidance) (*segmodel.Result, float64) {
-	out := a.model.Run(in, g)
-	inferMs := out.TotalMs() * a.scale
-	if a.occupancy > 0 {
-		time.Sleep(time.Duration(inferMs * a.occupancy * float64(time.Millisecond)))
-	}
-	return out, inferMs
+	var outs [1]*segmodel.Result
+	ms := a.Launch([]edge.Job{{In: in, G: g, D: segmodel.KeyframeDecision{Keyframe: true}}}, outs[:])
+	return outs[0], ms
 }
 
-// RunBatch serves a gathered batch in one amortized launch (edge.
-// BatchAccelerator): each frame's output is what a solo Run would produce,
-// the launch latency follows segmodel.BatchMs over the scaled solo
-// latencies, and with wall occupancy the accelerator is held once for the
-// whole launch rather than per frame — that amortization is where batching
-// buys throughput.
-func (a *modelAccelerator) RunBatch(ins []segmodel.Input, gs []segmodel.Guidance) ([]*segmodel.Result, float64) {
-	outs := make([]*segmodel.Result, len(ins))
-	solos := make([]float64, len(ins))
-	for i, in := range ins {
-		outs[i] = a.model.Run(in, gs[i])
-		solos[i] = outs[i].TotalMs() * a.scale
+// Launch serves a launch of one or more jobs: each job's output is what a
+// solo RunWarped under its decision produces, and the launch latency is
+// segmodel.BatchMs over the scaled solo latencies (exactly the solo latency
+// for one job). With wall occupancy the accelerator is held once for the
+// whole launch, for the warp cost where the decision skips the backbone —
+// that is where batching and skip-compute buy serving throughput.
+func (a *modelAccelerator) Launch(jobs []edge.Job, outs []*segmodel.Result) float64 {
+	a.solos = a.solos[:0]
+	for i, j := range jobs {
+		outs[i] = a.model.RunWarped(j.In, j.G, j.D)
+		a.solos = append(a.solos, outs[i].TotalMs()*a.scale)
 	}
-	launchMs := segmodel.BatchMs(solos)
+	launchMs := segmodel.BatchMs(a.solos)
 	if a.occupancy > 0 {
 		time.Sleep(time.Duration(launchMs * a.occupancy * float64(time.Millisecond)))
 	}
-	return outs, launchMs
-}
-
-// RunWarped serves one non-keyframe frame from cached features (edge.
-// WarpAccelerator): the partial warp cost replaces the backbone charge, so
-// with wall occupancy the accelerator is held for proportionally less time
-// — that is where skip-compute buys serving throughput.
-func (a *modelAccelerator) RunWarped(in segmodel.Input, g segmodel.Guidance, d segmodel.KeyframeDecision) (*segmodel.Result, float64) {
-	out := a.model.RunWarped(in, g, d)
-	inferMs := out.TotalMs() * a.scale
-	if a.occupancy > 0 {
-		time.Sleep(time.Duration(inferMs * a.occupancy * float64(time.Millisecond)))
-	}
-	return out, inferMs
-}
-
-// RunWarpedBatch is the amortized-launch counterpart of RunWarped.
-func (a *modelAccelerator) RunWarpedBatch(ins []segmodel.Input, gs []segmodel.Guidance, ds []segmodel.KeyframeDecision) ([]*segmodel.Result, float64) {
-	outs := make([]*segmodel.Result, len(ins))
-	solos := make([]float64, len(ins))
-	for i, in := range ins {
-		outs[i] = a.model.RunWarped(in, gs[i], ds[i])
-		solos[i] = outs[i].TotalMs() * a.scale
-	}
-	launchMs := segmodel.BatchMs(solos)
-	if a.occupancy > 0 {
-		time.Sleep(time.Duration(launchMs * a.occupancy * float64(time.Millisecond)))
-	}
-	return outs, launchMs
+	return launchMs
 }
 
 // NewServer builds an edge server around the given model.
@@ -264,11 +235,15 @@ func NewServer(model *segmodel.Model, opts ...ServerOption) *Server {
 	for _, o := range opts {
 		o(s)
 	}
-	if s.connPipeline == 0 && s.admission != nil && s.admission.Name() != "reject" {
+	if s.connPipeline == 0 {
 		// Latest-wins needs stale frames queued per session to have anything
-		// to displace; a serial connection never queues more than one. Give
-		// shedding servers a working pipeline unless the caller chose one.
-		s.connPipeline = 4
+		// to displace; a one-frame connection never queues more than one.
+		// Give shedding servers a working pipeline unless the caller chose
+		// one.
+		s.connPipeline = 1
+		if s.admission != nil && s.admission.Name() != "reject" {
+			s.connPipeline = 4
+		}
 	}
 	s.sched = edge.NewScheduler(edge.Config{
 		Workers:            s.accelerators,
@@ -374,7 +349,17 @@ func (s *Server) untrack(conn net.Conn) {
 }
 
 // serveConn handles one mobile client until EOF: framing in, session and
-// scheduler in the middle, framing out.
+// scheduler in the middle, framing out. Up to connPipeline frames are in
+// flight at once. The read loop takes a slot before it reads each message,
+// decodes the frame and resolves its guidance in arrival order (the CIIA
+// context is order-sensitive), then hands the frame to a goroutine that
+// blocks in the scheduler and writes the outcome under the connection's
+// write lock. Outcomes may interleave out of frame order — the client
+// correlates by FrameIndex. At depth 1 this is read, infer, write, repeat:
+// the read deadline only runs while nothing is in flight, and nothing is
+// queued when the peer hangs up. When the read loop exits, closing the
+// session unblocks queued frames (ErrClosed, nothing written) so the drain
+// cannot hang on a dead peer.
 func (s *Server) serveConn(conn net.Conn) {
 	defer func() {
 		if err := conn.Close(); err != nil && !errors.Is(err, net.ErrClosed) {
@@ -385,12 +370,83 @@ func (s *Server) serveConn(conn net.Conn) {
 	if !ok {
 		return
 	}
+	c := &serverConn{srv: s, conn: conn, sess: sess, slots: make(chan struct{}, s.connPipeline)}
+	defer c.inflight.Wait()
 	defer sess.Close()
-	if s.connPipeline > 1 {
-		s.servePipelined(conn, sess, first)
-		return
+	for {
+		c.slots <- struct{}{}
+		// first, when non-nil, is a payload openSession already read.
+		payload := first
+		first = nil
+		if payload == nil {
+			if payload, ok = s.read(conn); !ok {
+				return
+			}
+		}
+		frame, err := UnmarshalFrame(payload)
+		if err != nil {
+			// Report the failure to the peer before dropping it: a mobile
+			// client stuck sending garbage should learn why.
+			s.logf("decode: %v", err)
+			if werr := c.write(MarshalError(err.Error())); werr != nil {
+				s.logf("write error report: %v", werr)
+			}
+			return
+		}
+		in, guidance := frameInput(frame)
+		g := sess.Guide(guidance)
+		c.inflight.Add(1)
+		go c.serveFrame(frame.FrameIndex, in, g)
 	}
-	s.serveSerial(conn, sess, first)
+}
+
+// serverConn is one connection's serving state, shared by its read loop and
+// its in-flight frames.
+type serverConn struct {
+	srv      *Server
+	conn     net.Conn
+	sess     *edge.Session
+	slots    chan struct{} // one token per frame in flight
+	inflight sync.WaitGroup
+	wmu      sync.Mutex
+}
+
+// write sends one whole message; wmu keeps concurrent frames' messages
+// from interleaving on the socket.
+func (c *serverConn) write(payload []byte) error {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	//edgeis:lockheld wmu exists to serialize conn writes; Server.write is deadline-bounded
+	return c.srv.write(c.conn, payload)
+}
+
+// serveFrame runs one frame through the scheduler, writes its outcome — a
+// result, or a per-frame reject or shed notice — and frees its slot.
+func (c *serverConn) serveFrame(idx int32, in segmodel.Input, g segmodel.Guidance) {
+	defer c.inflight.Done()
+	defer func() { <-c.slots }()
+	out, inferMs, err := c.sess.Infer(in, g)
+	var payload []byte
+	switch {
+	case errors.Is(err, edge.ErrQueueFull):
+		payload = MarshalReject(idx)
+	case errors.Is(err, edge.ErrShed):
+		payload = MarshalShed(idx, ShedStaleReplaced)
+	case err != nil:
+		// Session or scheduler closed; the connection is going away.
+		return
+	default:
+		res := &ResultMsg{FrameIndex: idx, InferMs: inferMs}
+		for _, d := range out.Detections {
+			res.Detections = append(res.Detections, FromDetection(d, c.srv.maxContour))
+		}
+		payload = MarshalResult(res)
+	}
+	if err := c.write(payload); err != nil {
+		c.srv.logf("write: %v", err)
+		// Kill the socket so the read loop notices and winds down.
+		c.conn.Close()
+	}
 }
 
 // openSession reads the connection's first message and resolves its
@@ -402,19 +458,8 @@ func (s *Server) serveConn(conn net.Conn) {
 // session exactly as before the handshake existed, and the message itself
 // is returned as the loop's first payload.
 func (s *Server) openSession(conn net.Conn) (first []byte, sess *edge.Session, ok bool) {
-	if s.readTimeout > 0 {
-		if err := conn.SetReadDeadline(time.Now().Add(s.readTimeout)); err != nil {
-			s.logf("set read deadline: %v", err)
-			return nil, nil, false
-		}
-	}
-	payload, err := ReadMessage(conn)
-	if err != nil {
-		if timeoutError(err) {
-			s.logf("idle connection dropped: %v", err)
-		} else if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
-			s.logf("read: %v", err)
-		}
+	payload, ok := s.read(conn)
+	if !ok {
 		return nil, nil, false
 	}
 	if t, terr := MessageType(payload); terr == nil && t == TypeResume {
@@ -438,159 +483,25 @@ func (s *Server) openSession(conn net.Conn) (first []byte, sess *edge.Session, o
 	return payload, s.sched.NewSession(conn.RemoteAddr().String()), true
 }
 
-// serveSerial is the historical read-infer-write loop. first, when
-// non-nil, is a payload openSession already read off the socket.
-func (s *Server) serveSerial(conn net.Conn, sess *edge.Session, first []byte) {
-	for {
-		payload := first
-		first = nil
-		if payload == nil {
-			if s.readTimeout > 0 {
-				if err := conn.SetReadDeadline(time.Now().Add(s.readTimeout)); err != nil {
-					s.logf("set read deadline: %v", err)
-					return
-				}
-			}
-			var err error
-			payload, err = ReadMessage(conn)
-			if err != nil {
-				if timeoutError(err) {
-					s.logf("idle connection dropped: %v", err)
-				} else if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
-					s.logf("read: %v", err)
-				}
-				return
-			}
-		}
-		frame, err := UnmarshalFrame(payload)
-		if err != nil {
-			// Report the failure to the peer before dropping it: a mobile
-			// client stuck sending garbage should learn why.
-			s.logf("decode: %v", err)
-			if werr := s.write(conn, MarshalError(err.Error())); werr != nil {
-				s.logf("write error report: %v", werr)
-			}
-			return
-		}
-
-		in, guidance := frameInput(frame)
-		out, inferMs, err := sess.Infer(in, sess.Guide(guidance))
-		switch {
-		case errors.Is(err, edge.ErrQueueFull):
-			// Per-frame shed: tell the client and keep serving.
-			if werr := s.write(conn, MarshalReject(frame.FrameIndex)); werr != nil {
-				s.logf("write reject: %v", werr)
-				return
-			}
-			continue
-		case errors.Is(err, edge.ErrShed):
-			// Unreachable on a serial connection (never more than one frame
-			// outstanding, so the session has no stale frame to displace),
-			// but kept symmetric with the pipelined path.
-			if werr := s.write(conn, MarshalShed(frame.FrameIndex, ShedStaleReplaced)); werr != nil {
-				s.logf("write shed: %v", werr)
-				return
-			}
-			continue
-		case err != nil:
-			// Scheduler shut down: the connection is going away too.
-			return
-		}
-
-		res := &ResultMsg{FrameIndex: frame.FrameIndex, InferMs: inferMs}
-		for _, d := range out.Detections {
-			res.Detections = append(res.Detections, FromDetection(d, s.maxContour))
-		}
-		if err := s.write(conn, MarshalResult(res)); err != nil {
-			s.logf("write: %v", err)
-			return
+// read receives one framed message under the configured idle deadline;
+// false means the connection is done, logged unless the peer hung up.
+func (s *Server) read(conn net.Conn) ([]byte, bool) {
+	if s.readTimeout > 0 {
+		if err := conn.SetReadDeadline(time.Now().Add(s.readTimeout)); err != nil {
+			s.logf("set read deadline: %v", err)
+			return nil, false
 		}
 	}
-}
-
-// servePipelined handles one connection with up to connPipeline frames in
-// flight: the read loop decodes frames and resolves guidance in arrival
-// order (the CIIA context is order-sensitive), then hands each frame to a
-// goroutine that blocks in the scheduler and writes the outcome under a
-// shared write lock. Outcomes may interleave out of frame order — the
-// client correlates by FrameIndex. When the read loop exits, closing the
-// session unblocks queued frames (ErrClosed, nothing written) so the drain
-// cannot hang on a dead peer. first, when non-nil, is a payload
-// openSession already read off the socket.
-func (s *Server) servePipelined(conn net.Conn, sess *edge.Session, first []byte) {
-	var wmu sync.Mutex
-	write := func(payload []byte) error {
-		wmu.Lock()
-		defer wmu.Unlock()
-		// Serializing whole-message writes on the shared conn is this
-		// lock's entire purpose; the write deadline bounds the hold.
-		//edgeis:lockheld wmu exists to serialize conn writes; s.write is deadline-bounded
-		return s.write(conn, payload)
-	}
-	sem := make(chan struct{}, s.connPipeline)
-	var inflight sync.WaitGroup
-	defer inflight.Wait()
-	defer sess.Close()
-	for {
-		payload := first
-		first = nil
-		if payload == nil {
-			if s.readTimeout > 0 {
-				if err := conn.SetReadDeadline(time.Now().Add(s.readTimeout)); err != nil {
-					s.logf("set read deadline: %v", err)
-					return
-				}
-			}
-			var err error
-			payload, err = ReadMessage(conn)
-			if err != nil {
-				if timeoutError(err) {
-					s.logf("idle connection dropped: %v", err)
-				} else if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
-					s.logf("read: %v", err)
-				}
-				return
-			}
+	payload, err := ReadMessage(conn)
+	if err != nil {
+		if timeoutError(err) {
+			s.logf("idle connection dropped: %v", err)
+		} else if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
+			s.logf("read: %v", err)
 		}
-		frame, err := UnmarshalFrame(payload)
-		if err != nil {
-			s.logf("decode: %v", err)
-			if werr := write(MarshalError(err.Error())); werr != nil {
-				s.logf("write error report: %v", werr)
-			}
-			return
-		}
-		in, guidance := frameInput(frame)
-		g := sess.Guide(guidance)
-		sem <- struct{}{}
-		inflight.Add(1)
-		go func(frame *FrameMsg, in segmodel.Input, g segmodel.Guidance) {
-			defer inflight.Done()
-			defer func() { <-sem }()
-			out, inferMs, err := sess.Infer(in, g)
-			var werr error
-			switch {
-			case errors.Is(err, edge.ErrQueueFull):
-				werr = write(MarshalReject(frame.FrameIndex))
-			case errors.Is(err, edge.ErrShed):
-				werr = write(MarshalShed(frame.FrameIndex, ShedStaleReplaced))
-			case err != nil:
-				// Session or scheduler closed; the connection is going away.
-				return
-			default:
-				res := &ResultMsg{FrameIndex: frame.FrameIndex, InferMs: inferMs}
-				for _, d := range out.Detections {
-					res.Detections = append(res.Detections, FromDetection(d, s.maxContour))
-				}
-				werr = write(MarshalResult(res))
-			}
-			if werr != nil {
-				s.logf("write: %v", werr)
-				// Kill the socket so the read loop notices and winds down.
-				conn.Close()
-			}
-		}(frame, in, g)
+		return nil, false
 	}
+	return payload, true
 }
 
 // write sends one framed message, honouring the configured write deadline.
