@@ -61,5 +61,9 @@ loc: ## Non-test / test Go lines per package (wc -l), the size figure simplifica
 
 check: vet lint build test race ## Everything CI runs, in order.
 
-idle: ## Hand-in check: fails, listing them, if any edgeis-* binary, Go test binary or orphaned go/gopls front end is still running (matches executable paths, so never itself or an argument).
-	@! ls -l /proc/[0-9]*/exe 2>/dev/null | grep -E '/(edgeis-[a-z]+|[^/ ]+\.test|go|gopls)$$'
+idle: ## Hand-in check: fails, listing them, if any edgeis-* binary, Go test binary, go/gopls front end, `go run` child (built under a go-build work dir), Go toolchain tool ($GOROOT/pkg/tool) or binary built into this checkout is still running (matches executable paths, so never itself or an argument).
+	@! ls -l /proc/[0-9]*/exe 2>/dev/null | sed 's/ (deleted)$$//' | grep -E \
+		-e '/(edgeis-[a-z]+|[^/ ]+\.test|go|gopls)$$' \
+		-e '/go-build[^/ ]*/.*/exe/[^/ ]+$$' \
+		-e '/pkg/tool/[^/ ]+/[^/ ]+$$' \
+		-e ' -> $(CURDIR)/'

@@ -12,7 +12,8 @@
 // This package is the public facade. The three subsystems and every
 // substrate (visual odometry, simulated DL backends, tile codec, network
 // simulation, TCP transport, device models, datasets and the experiment
-// harness) live in internal packages and are re-exported here as needed.
+// harness) live in internal packages; the facade re-exports what the
+// quick-starts and examples/ use.
 //
 // Quick start:
 //
@@ -33,9 +34,7 @@ package edgeis
 
 import (
 	"edgeis/internal/core"
-	"edgeis/internal/dataset"
 	"edgeis/internal/device"
-	"edgeis/internal/experiments"
 	"edgeis/internal/geom"
 	"edgeis/internal/live"
 	"edgeis/internal/metrics"
@@ -47,50 +46,21 @@ import (
 	"edgeis/internal/transport"
 )
 
-// Core system types.
-type (
-	// System is the edgeIS mobile runtime (MAMT + CFRS + CIIA wiring).
-	System = core.System
-	// SystemConfig assembles a System.
-	SystemConfig = core.Config
-	// SessionStats counts session events (init attempts, losses, results).
-	SessionStats = core.SessionStats
-)
+// SystemConfig assembles the edgeIS mobile runtime.
+type SystemConfig = core.Config
 
-// NewSystem builds the edgeIS mobile runtime.
-func NewSystem(cfg SystemConfig) *System { return core.NewSystem(cfg) }
-
-// Geometry and camera.
-type (
-	// Camera is the pinhole camera model.
-	Camera = geom.Camera
-	// Pose is a rigid-body SE(3) transform.
-	Pose = geom.Pose
-)
+// NewSystem builds the edgeIS mobile runtime (MAMT + CFRS + CIIA wiring).
+func NewSystem(cfg SystemConfig) *core.System { return core.NewSystem(cfg) }
 
 // StandardCamera returns a ~60 degree FOV camera at the given resolution.
-func StandardCamera(w, h int) Camera { return geom.StandardCamera(w, h) }
+func StandardCamera(w, h int) geom.Camera { return geom.StandardCamera(w, h) }
 
-// Scenes and datasets.
-type (
-	// World is a synthetic 3-D scene with labeled objects.
-	World = scene.World
-	// ScenePreset parameterizes the procedural scene builders.
-	ScenePreset = scene.PresetConfig
-	// Trajectory produces camera poses over time.
-	Trajectory = scene.Trajectory
-	// Clip is one evaluation sequence (world + trajectory).
-	Clip = dataset.Clip
-)
+// ScenePreset parameterizes the procedural scene builders.
+type ScenePreset = scene.PresetConfig
 
-// Scene builders and trajectories.
 var (
 	// StreetScene builds a KITTI-like outdoor scene.
 	StreetScene = scene.StreetScene
-	// IndoorScene builds a DAVIS-like indoor scene.
-	IndoorScene = scene.IndoorScene
-	// IndustrialScene builds the oil-field equipment scene.
-	IndustrialScene = scene.IndustrialScene
 	// InspectionRoute returns the standard camera route at a gait speed.
 	InspectionRoute = scene.InspectionRoute
 )
@@ -102,78 +72,26 @@ const (
 	JogSpeed    = scene.JogSpeed
 )
 
-// Dataset corpora mirroring the paper's evaluation data.
-var (
-	// DAVISClips returns the DAVIS-style indoor clips.
-	DAVISClips = dataset.DAVIS
-	// KITTIClips returns the KITTI-style street clips.
-	KITTIClips = dataset.KITTI
-	// XiphClips returns the Xiph-style mixed clips.
-	XiphClips = dataset.Xiph
-	// SelfRecordedClips returns the paper's self-recorded AR clips.
-	SelfRecordedClips = dataset.SelfRecorded
-	// AllClips returns the full corpus.
-	AllClips = dataset.All
-)
+// EngineConfig assembles a simulation run. Leave Backend nil for the
+// simulated model+network edge, or set it to NewTCPBackend's result to run
+// the same engine against a real edge server.
+type EngineConfig = pipeline.Config
 
-// Simulation pipeline.
-type (
-	// Engine drives a strategy through a scenario on a simulated clock.
-	Engine = pipeline.Engine
-	// EngineConfig assembles a simulation run.
-	EngineConfig = pipeline.Config
-	// Strategy is a mobile-side system under test.
-	Strategy = pipeline.Strategy
-	// FrameEval is the per-frame outcome.
-	FrameEval = pipeline.FrameEval
-	// RunStats aggregates engine accounting.
-	RunStats = pipeline.RunStats
-	// Accumulator gathers IoU and latency statistics.
-	Accumulator = metrics.Accumulator
-)
+// NewEngine prepares a simulation run of a mobile-side strategy.
+func NewEngine(cfg EngineConfig, s pipeline.Strategy) *pipeline.Engine {
+	return pipeline.NewEngine(cfg, s)
+}
 
-// NewEngine prepares a simulation run.
-func NewEngine(cfg EngineConfig, s Strategy) *Engine { return pipeline.NewEngine(cfg, s) }
+// NewTCPBackend adapts a dialed EdgeClient into an engine backend, running
+// the engine against a real edge server over the wire.
+var NewTCPBackend = live.NewTCPBackend
 
-// Edge backends: the pluggable serving side of the offload loop. One engine
-// drives all of them — set EngineConfig.Backend, or leave it nil for the
-// default simulated model+network backend.
-type (
-	// EdgeBackend serves offloaded frames and delivers asynchronous results
-	// with explicit queue-depth and drop accounting.
-	EdgeBackend = pipeline.EdgeBackend
-	// BackendStats is the accounting every backend reports.
-	BackendStats = pipeline.BackendStats
-	// SimBackendConfig assembles the simulated edge backend.
-	SimBackendConfig = pipeline.SimBackendConfig
-)
-
-var (
-	// NewSimBackend builds the simulated model+network edge.
-	NewSimBackend = pipeline.NewSimBackend
-	// NewLoopbackBackend builds the in-process co-located edge.
-	NewLoopbackBackend = pipeline.NewLoopbackBackend
-	// NewTCPBackend adapts a dialed EdgeClient into an EdgeBackend, running
-	// the engine against a real edge server over the wire.
-	NewTCPBackend = live.NewTCPBackend
-	// NewLiveDriver couples a mobile runtime to a live edge connection.
-	NewLiveDriver = live.NewDriver
-)
-
-// Stage instrumentation: per-stage wall-clock timings of the mobile
-// pipeline's tracking path (MAMT transfer, CFRS selection, CIIA planning).
-type (
-	// StageObserver receives per-stage timings via System.SetStageObserver.
-	StageObserver = core.StageObserver
-	// StageTimer is a StageObserver aggregating counts and totals.
-	StageTimer = core.StageTimer
-)
-
-// NewStageTimer returns an empty aggregating stage observer.
+// NewStageTimer returns an observer that aggregates per-stage wall-clock
+// timings of the mobile tracking path (System.SetStageObserver).
 var NewStageTimer = core.NewStageTimer
 
 // Evaluate folds per-frame evals into an accumulator, skipping warmup.
-func Evaluate(name string, evals []FrameEval, warmup int) *Accumulator {
+func Evaluate(name string, evals []pipeline.FrameEval, warmup int) *metrics.Accumulator {
 	return pipeline.EvaluateFrom(name, evals, warmup)
 }
 
@@ -201,13 +119,8 @@ var (
 	DreamGlass = device.DreamGlass
 )
 
-// Simulated DL backends.
-type (
-	// Model is a simulated segmentation/detection network.
-	Model = segmodel.Model
-	// ModelKind selects Mask R-CNN, YOLACT or YOLOv3.
-	ModelKind = segmodel.Kind
-)
+// ModelKind selects a simulated network: Mask R-CNN, YOLACT or YOLOv3.
+type ModelKind = segmodel.Kind
 
 // Model kinds.
 const (
@@ -220,65 +133,20 @@ const (
 )
 
 // NewModel builds a simulated network with its calibrated profile.
-func NewModel(kind ModelKind) *Model { return segmodel.New(kind) }
-
-// Real TCP transport (the deployable mobile/edge wire protocol).
-type (
-	// EdgeServer serves segmentation over TCP.
-	EdgeServer = transport.Server
-	// EdgeClient is the mobile side of the wire protocol.
-	EdgeClient = transport.Client
-	// EdgeServerStats snapshots a server: served/rejected frames, connection
-	// peaks and the scheduler's queue accounting.
-	EdgeServerStats = transport.ServerStats
-)
+func NewModel(kind ModelKind) *segmodel.Model { return segmodel.New(kind) }
 
 // NewEdgeServer builds a TCP edge server around a model. WithAccelerators
 // sizes its inference pool; WithQueueDepth bounds admission (overflow is
 // rejected per frame and surfaces as dropped offloads on the client).
-func NewEdgeServer(model *Model, opts ...transport.ServerOption) *EdgeServer {
+func NewEdgeServer(model *segmodel.Model, opts ...transport.ServerOption) *transport.Server {
 	return transport.NewServer(model, opts...)
 }
 
 // DialEdge connects to an edge server.
 var DialEdge = transport.Dial
 
-// DialEdgeRetry connects with bounded exponential backoff, absorbing the
-// startup race where the client comes up before the server's listener.
-var DialEdgeRetry = transport.DialRetry
-
-// Experiments: the per-figure reproduction harness.
-type (
-	// ExperimentResult is one reproduced table/figure.
-	ExperimentResult = experiments.Result
-)
-
-// Parallelism controls (see DESIGN.md, "Concurrency model"). The experiment
-// harness fans independent clip/arm/figure runs across a bounded worker
-// pool; results are merged in deterministic order, so any pool size
-// produces byte-identical reports.
-var (
-	// SetWorkers overrides the worker pool size (1 = serial, <=0 = all
-	// cores) and returns the previous effective size.
-	SetWorkers = parallel.SetWorkers
-	// Workers returns the effective worker pool size.
-	Workers = parallel.Workers
-)
-
-// Experiment entry points (see DESIGN.md for the index).
-var (
-	// RunAllExperiments reproduces every figure of the evaluation.
-	RunAllExperiments = experiments.All
-	// Fig2b .. Fig17 reproduce individual figures.
-	Fig2b      = experiments.Fig2b
-	Fig9       = experiments.Fig9
-	Fig10      = experiments.Fig10
-	Fig11      = experiments.Fig11
-	Fig12      = experiments.Fig12
-	Fig13      = experiments.Fig13
-	Fig14      = experiments.Fig14
-	Fig15      = experiments.Fig15
-	Fig16      = experiments.Fig16
-	Fig17      = experiments.Fig17
-	PowerStudy = experiments.PowerStudy
-)
+// SetWorkers overrides the experiment harness's worker pool size (1 =
+// serial, <=0 = all cores) and returns the previous effective size. Results
+// are merged in deterministic order, so any pool size produces
+// byte-identical reports (see DESIGN.md, "Concurrency model").
+var SetWorkers = parallel.SetWorkers

@@ -48,18 +48,6 @@ func TestPublicAPITransport(t *testing.T) {
 	}
 }
 
-// TestPublicAPIDatasets checks the exported corpora constructors.
-func TestPublicAPIDatasets(t *testing.T) {
-	if len(AllClips(1, 90)) < 6 {
-		t.Error("corpus too small")
-	}
-	for _, c := range []Clip{DAVISClips(1, 60)[0], KITTIClips(1, 60)[0], XiphClips(1, 60)[0], SelfRecordedClips(1, 60)[0]} {
-		if c.World == nil || c.Frames != 60 {
-			t.Errorf("bad clip %v", c)
-		}
-	}
-}
-
 // TestPublicAPIModels checks the exported model kinds and their calibrated
 // latency ordering.
 func TestPublicAPIModels(t *testing.T) {
@@ -73,16 +61,5 @@ func TestPublicAPIModels(t *testing.T) {
 		if speeds[i] <= speeds[i-1] {
 			t.Error("gait speeds not increasing")
 		}
-	}
-}
-
-// TestPublicAPIExperiments smoke-tests an exported figure entry point.
-func TestPublicAPIExperiments(t *testing.T) {
-	r := Fig2b(1)
-	if r.ID != "Fig2b" || len(r.Lines) == 0 {
-		t.Errorf("result = %+v", r)
-	}
-	if r.Render() == "" {
-		t.Error("empty render")
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"edgeis/internal/device"
 	"edgeis/internal/feature"
 	"edgeis/internal/geom"
-	"edgeis/internal/mask"
 	"edgeis/internal/metrics"
 	"edgeis/internal/pipeline"
 	"edgeis/internal/scene"
@@ -249,6 +248,3 @@ func masksFromDetections(dets []segmodel.Detection) []metrics.PredictedMask {
 	}
 	return out
 }
-
-// boxArea is a small helper for tests.
-func boxArea(b mask.Box) int { return b.Area() }

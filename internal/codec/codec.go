@@ -225,13 +225,6 @@ func (e *EncodedFrame) DecodeMs() float64 {
 	return 0.3 * e.EncodeMs
 }
 
-// ContourPayloadBytes models the serialized size of a transmitted mask
-// contour (vertices as two varint-ish coordinates plus header) — the
-// Boost-serialized contour data of Section VI-A.
-func ContourPayloadBytes(vertices int) int {
-	return 16 + 5*vertices
-}
-
 func clampInt(v, lo, hi int) int {
 	if v < lo {
 		return lo

@@ -172,15 +172,6 @@ func TestEncodeCostOrdering(t *testing.T) {
 	}
 }
 
-func TestContourPayloadBytes(t *testing.T) {
-	if ContourPayloadBytes(0) <= 0 {
-		t.Error("header must be charged")
-	}
-	if ContourPayloadBytes(100) <= ContourPayloadBytes(10) {
-		t.Error("payload must grow with vertices")
-	}
-}
-
 func TestHighQualityFrameSizeRealistic(t *testing.T) {
 	// A 640x480 all-high frame should land in the tens-of-KB range a real
 	// HEVC intra frame occupies, and a CFRS-style mixed frame well below.

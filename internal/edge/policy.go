@@ -27,7 +27,7 @@ const (
 	VerdictReject
 	// VerdictShedOldest displaces the arriving session's oldest queued
 	// request (its waiter gets ErrShed) and admits the fresh one in its
-	// place — the DropOldest discipline of the paper's mobile send queue,
+	// place — the latest-wins discipline of the paper's mobile send queue,
 	// applied per session on the edge.
 	VerdictShedOldest
 )

@@ -183,8 +183,7 @@ func clamp01(v float64) float64 {
 
 // Match pairs features between two frames by descriptor identity — the
 // stand-in for Hamming-distance ORB matching. Corrupted descriptors simply
-// fail to pair, modelling dropped matches; outlier injection lives in
-// MatchWithOutliers.
+// fail to pair, modelling dropped matches.
 type Match struct {
 	A, B int // indices into the two input slices
 }
@@ -209,21 +208,4 @@ func MatchFeatures(a, b []Feature) []Match {
 		}
 	}
 	return out
-}
-
-// MatchWithOutliers is MatchFeatures plus injected mismatches: for each
-// correct pair, with probability outlierRate its B side is rewired to a
-// random other B feature. This stresses the robust estimation downstream the
-// way real descriptor aliasing does.
-func MatchWithOutliers(a, b []Feature, outlierRate float64, rng *rand.Rand) []Match {
-	matches := MatchFeatures(a, b)
-	if outlierRate <= 0 || len(b) < 2 {
-		return matches
-	}
-	for i := range matches {
-		if rng.Float64() < outlierRate {
-			matches[i].B = rng.Intn(len(b))
-		}
-	}
-	return matches
 }

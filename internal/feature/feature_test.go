@@ -2,7 +2,6 @@ package feature
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 
 	"edgeis/internal/geom"
@@ -145,33 +144,6 @@ func TestMatchFeaturesAcrossFrames(t *testing.T) {
 	// only removes matches).
 	if float64(correct)/float64(len(matches)) < 0.99 {
 		t.Errorf("correct ratio = %d/%d", correct, len(matches))
-	}
-}
-
-func TestMatchWithOutliers(t *testing.T) {
-	w, cam, f := testSetup(t)
-	ex := NewExtractor(w, cam, DefaultConfig(), 9)
-	a := ex.Extract(f, 0)
-	b := ex.Extract(f, 0)
-	rng := rand.New(rand.NewSource(1))
-	clean := MatchFeatures(a, b)
-	noisy := MatchWithOutliers(a, b, 0.3, rng)
-	if len(noisy) != len(clean) {
-		t.Fatal("outlier injection changed match count")
-	}
-	wrong := 0
-	for _, m := range noisy {
-		if a[m.A].PointIndex != b[m.B].PointIndex {
-			wrong++
-		}
-	}
-	frac := float64(wrong) / float64(len(noisy))
-	if frac < 0.1 || frac > 0.5 {
-		t.Errorf("outlier fraction = %v, want around 0.3", frac)
-	}
-	// Zero rate is a no-op.
-	if got := MatchWithOutliers(a, b, 0, rng); len(got) != len(clean) {
-		t.Error("zero-rate should match clean")
 	}
 }
 

@@ -101,62 +101,6 @@ func (m *Dense) TransposeMul() *Dense {
 	return out
 }
 
-// SolveGauss solves a*x = b by Gaussian elimination with partial pivoting.
-// a must be square; a and b are not modified.
-func SolveGauss(a *Dense, b []float64) ([]float64, error) {
-	if a.Rows != a.Cols {
-		return nil, fmt.Errorf("linalg: non-square system %dx%d", a.Rows, a.Cols)
-	}
-	if len(b) != a.Rows {
-		return nil, fmt.Errorf("linalg: rhs length %d != %d", len(b), a.Rows)
-	}
-	n := a.Rows
-	aug := a.Clone()
-	rhs := make([]float64, n)
-	copy(rhs, b)
-
-	for col := 0; col < n; col++ {
-		// Partial pivot.
-		pivot, best := col, math.Abs(aug.At(col, col))
-		for r := col + 1; r < n; r++ {
-			if v := math.Abs(aug.At(r, col)); v > best {
-				pivot, best = r, v
-			}
-		}
-		if best < 1e-14 {
-			return nil, ErrSingular
-		}
-		if pivot != col {
-			for c := 0; c < n; c++ {
-				aug.Data[col*n+c], aug.Data[pivot*n+c] = aug.Data[pivot*n+c], aug.Data[col*n+c]
-			}
-			rhs[col], rhs[pivot] = rhs[pivot], rhs[col]
-		}
-		// Eliminate below.
-		inv := 1 / aug.At(col, col)
-		for r := col + 1; r < n; r++ {
-			f := aug.At(r, col) * inv
-			if f == 0 {
-				continue
-			}
-			for c := col; c < n; c++ {
-				aug.Add(r, c, -f*aug.At(col, c))
-			}
-			rhs[r] -= f * rhs[col]
-		}
-	}
-	// Back substitution.
-	x := make([]float64, n)
-	for r := n - 1; r >= 0; r-- {
-		s := rhs[r]
-		for c := r + 1; c < n; c++ {
-			s -= aug.At(r, c) * x[c]
-		}
-		x[r] = s / aug.At(r, r)
-	}
-	return x, nil
-}
-
 // SolveCholesky solves a*x = b for a symmetric positive-definite a, with
 // Levenberg-style diagonal damping lambda added before factorization. It is
 // the solver behind each Gauss-Newton step of the pose optimizer.

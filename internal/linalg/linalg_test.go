@@ -6,59 +6,6 @@ import (
 	"testing"
 )
 
-func TestSolveGaussKnown(t *testing.T) {
-	a := FromRows([][]float64{
-		{2, 1, -1},
-		{-3, -1, 2},
-		{-2, 1, 2},
-	})
-	x, err := SolveGauss(a, []float64{8, -11, -3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{2, 3, -1}
-	for i := range want {
-		if math.Abs(x[i]-want[i]) > 1e-9 {
-			t.Errorf("x[%d] = %v, want %v", i, x[i], want[i])
-		}
-	}
-}
-
-func TestSolveGaussSingular(t *testing.T) {
-	a := FromRows([][]float64{
-		{1, 2},
-		{2, 4},
-	})
-	if _, err := SolveGauss(a, []float64{1, 2}); err == nil {
-		t.Error("expected ErrSingular")
-	}
-}
-
-func TestSolveGaussRandomRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 50; trial++ {
-		n := 2 + rng.Intn(7)
-		a := NewDense(n, n)
-		for i := range a.Data {
-			a.Data[i] = rng.NormFloat64()
-		}
-		xTrue := make([]float64, n)
-		for i := range xTrue {
-			xTrue[i] = rng.NormFloat64()
-		}
-		b := a.MulVec(xTrue)
-		x, err := SolveGauss(a, b)
-		if err != nil {
-			continue // singular draw, fine
-		}
-		for i := range x {
-			if math.Abs(x[i]-xTrue[i]) > 1e-6 {
-				t.Fatalf("trial %d: x[%d] = %v, want %v", trial, i, x[i], xTrue[i])
-			}
-		}
-	}
-}
-
 func TestSolveCholeskySPD(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 50; trial++ {

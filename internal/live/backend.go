@@ -48,17 +48,6 @@ func NewTCPBackend(client *transport.Client, seed int64) *TCPBackend {
 	return &TCPBackend{client: client, seed: seed}
 }
 
-// DialTCPBackend dials an edge server with bounded exponential backoff and
-// wraps the connection. It absorbs the startup race where the client comes
-// up before the server has bound its listener.
-func DialTCPBackend(addr string, seed int64, timeout time.Duration, attempts int, backoff time.Duration, opts ...transport.ClientOption) (*TCPBackend, error) {
-	client, err := transport.DialRetry(addr, timeout, attempts, backoff, opts...)
-	if err != nil {
-		return nil, err
-	}
-	return NewTCPBackend(client, seed), nil
-}
-
 // Name identifies the backend in reports.
 func (b *TCPBackend) Name() string { return "tcp" }
 
@@ -73,8 +62,8 @@ func (b *TCPBackend) Bind(frames []*scene.Frame, queueDepth int) {
 }
 
 // Submit converts the offload to a wire message and sends it. A full send
-// queue drops the offload (DropNewest — the socket writer owns the queue)
-// and the loss is accounted, never silent.
+// queue rejects the newcomer (the socket writer owns the queue) and the
+// loss is accounted, never silent.
 func (b *TCPBackend) Submit(req *pipeline.OffloadRequest, sendAt float64) []pipeline.ScheduledResult {
 	msg := ToFrameMsg(req, b.frames[req.FrameIndex], b.grid, b.seed)
 	b.led.Offer(1)

@@ -146,8 +146,8 @@ func TestToEdgeResultConversion(t *testing.T) {
 
 // TestTCPBackendConformance runs the shared EdgeBackend contract against a
 // real server over a socket. Queue overflow cannot be forced
-// deterministically through a wall-clock socket, so the drop subtest is
-// skipped (Drop nil); the sim and loopback backends cover it.
+// deterministically through a wall-clock socket, so the latest-wins
+// subtest is skipped; the sim backend covers it.
 func TestTCPBackendConformance(t *testing.T) {
 	backendtest.Conformance(t, backendtest.Target{
 		Name:      "tcp",

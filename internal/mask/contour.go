@@ -403,15 +403,3 @@ func SimplifyContour(c Contour, maxPoints int) Contour {
 	}
 	return out
 }
-
-// ContourPerimeter returns the summed segment lengths of the closed contour.
-func ContourPerimeter(c Contour) float64 {
-	if len(c) < 2 {
-		return 0
-	}
-	sum := 0.0
-	for i := range c {
-		sum += c[i].DistTo(c[(i+1)%len(c)])
-	}
-	return sum
-}

@@ -33,7 +33,6 @@ package mask
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 	"sync/atomic"
 
@@ -392,22 +391,6 @@ func (m *Bitmask) CenterOfMass() (geom.Vec2, bool) {
 		return geom.Vec2{}, false
 	}
 	return geom.V2(float64(sx)/float64(n), float64(sy)/float64(n)), true
-}
-
-// HausdorffProxy returns a cheap boundary-distance proxy: the mean absolute
-// difference between the bounding boxes' edges, in pixels. It is used by
-// offload triggers to detect significant mask drift without a full IoU scan.
-func HausdorffProxy(a, b *Bitmask) float64 {
-	ba, bb := a.BoundingBox(), b.BoundingBox()
-	if ba.Empty() && bb.Empty() {
-		return 0
-	}
-	if ba.Empty() || bb.Empty() {
-		return math.Inf(1)
-	}
-	sum := math.Abs(float64(ba.MinX-bb.MinX)) + math.Abs(float64(ba.MinY-bb.MinY)) +
-		math.Abs(float64(ba.MaxX-bb.MaxX)) + math.Abs(float64(ba.MaxY-bb.MaxY))
-	return sum / 4
 }
 
 // Box is an axis-aligned bounding box with inclusive min and exclusive max

@@ -243,23 +243,6 @@ func TestBoundaryNoiseTargets(t *testing.T) {
 	}
 }
 
-func TestHausdorffProxy(t *testing.T) {
-	a := rect(20, 20, 5, 5, 10, 10)
-	if got := HausdorffProxy(a, a); got != 0 {
-		t.Errorf("self proxy = %v", got)
-	}
-	b := a.Translate(4, 0)
-	if got := HausdorffProxy(a, b); math.Abs(got-2) > 1e-12 {
-		t.Errorf("proxy = %v, want 2 (mean of 4,0,4,0)", got)
-	}
-	if !math.IsInf(HausdorffProxy(a, New(20, 20)), 1) {
-		t.Error("empty-vs-nonempty should be +Inf")
-	}
-	if HausdorffProxy(New(20, 20), New(20, 20)) != 0 {
-		t.Error("empty-vs-empty should be 0")
-	}
-}
-
 func TestExtractContoursRectangle(t *testing.T) {
 	m := rect(20, 20, 5, 5, 10, 10)
 	cs := ExtractContours(m, 1)
@@ -363,17 +346,6 @@ func TestSimplifyContour(t *testing.T) {
 	// No-op when already small.
 	if got := SimplifyContour(c, len(c)+5); len(got) != len(c) {
 		t.Error("simplify should be a copy when under budget")
-	}
-}
-
-func TestContourPerimeter(t *testing.T) {
-	c := Contour{geom.V2(0, 0), geom.V2(3, 0), geom.V2(3, 4)}
-	// 3 + 4 + 5 (closing hypotenuse).
-	if got := ContourPerimeter(c); math.Abs(got-12) > 1e-12 {
-		t.Errorf("perimeter = %v, want 12", got)
-	}
-	if ContourPerimeter(Contour{geom.V2(1, 1)}) != 0 {
-		t.Error("single point perimeter should be 0")
 	}
 }
 

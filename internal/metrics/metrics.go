@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 
 	"edgeis/internal/mask"
 )
@@ -158,20 +157,6 @@ func (a *Accumulator) Row() string {
 	return fmt.Sprintf("%-22s IoU=%.3f false@0.5=%5.1f%% false@0.75=%5.1f%% latency=%5.1fms (n=%d)",
 		a.Name, a.MeanIoU(), 100*a.FalseRate(LooseThreshold),
 		100*a.FalseRate(StrictThreshold), a.MeanLatencyMs(), a.Samples())
-}
-
-// Table renders a uniform comparison table for several accumulators.
-func Table(title string, accs []*Accumulator) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "== %s ==\n", title)
-	fmt.Fprintf(&b, "%-22s %8s %12s %13s %12s %8s\n",
-		"system", "mean IoU", "false@0.5", "false@0.75", "latency ms", "samples")
-	for _, a := range accs {
-		fmt.Fprintf(&b, "%-22s %8.3f %11.1f%% %12.1f%% %12.1f %8d\n",
-			a.Name, a.MeanIoU(), 100*a.FalseRate(LooseThreshold),
-			100*a.FalseRate(StrictThreshold), a.MeanLatencyMs(), a.Samples())
-	}
-	return b.String()
 }
 
 // Improvement returns the relative change from base to improved (positive =

@@ -175,10 +175,6 @@ func TestMerge(t *testing.T) {
 func TestTableAndRow(t *testing.T) {
 	a := NewAccumulator("sys-a")
 	a.AddFrame([]float64{0.9}, 20)
-	tab := Table("demo", []*Accumulator{a})
-	if !strings.Contains(tab, "sys-a") || !strings.Contains(tab, "demo") {
-		t.Error("table missing fields")
-	}
 	if !strings.Contains(a.Row(), "sys-a") {
 		t.Error("row missing name")
 	}

@@ -89,48 +89,6 @@ func (d *Dist) Quantile(q float64) float64 {
 // Percentile is Quantile under its historical name.
 func (d *Dist) Percentile(p float64) float64 { return d.Quantile(p) }
 
-// Merge folds src into d, the fleet-wide roll-up of per-replica
-// distributions. Count, sum (hence Mean) and Max combine exactly. The
-// percentile window is quantile-preserving: both windows' samples are
-// pooled and, when the pool exceeds the retained-window bound, thinned by
-// even rank striding over the sorted pool — so the merged window's
-// quantiles are quantiles of the pooled samples, and the window minimum
-// and maximum survive the thinning. Deterministic by construction (sort +
-// fixed stride, no sampling randomness).
-//
-// Merging re-bases the window: the merged ring is sorted, not
-// chronological, so a Dist that keeps receiving Add calls after a Merge
-// evicts by rank position rather than age. Merge is meant for report-time
-// aggregation of finished replicas; merging a Dist into itself is not
-// supported.
-func (d *Dist) Merge(src *Dist) {
-	if src == nil || src.n == 0 {
-		return
-	}
-	if d.n == 0 || src.max > d.max {
-		d.max = src.max
-	}
-	d.n += src.n
-	d.sum += src.sum
-	pool := make([]float64, 0, len(d.ring)+len(src.ring))
-	pool = append(pool, d.ring...)
-	pool = append(pool, src.ring...)
-	sort.Float64s(pool)
-	if len(pool) > distWindow {
-		thinned := make([]float64, distWindow)
-		for i := range thinned {
-			// Even rank stride over the sorted pool: rank 0 and rank
-			// len(pool)-1 are always retained, so the window min and max
-			// survive; interior ranks are spaced uniformly, preserving
-			// quantiles up to the window's resolution.
-			thinned[i] = pool[i*(len(pool)-1)/(distWindow-1)]
-		}
-		pool = thinned
-	}
-	d.ring = pool
-	d.next = 0
-}
-
 // ServingRow is one session's line in a serving report.
 type ServingRow struct {
 	Session     string

@@ -148,116 +148,6 @@ func TestDistWindowBoundsMemoryButKeepsExactMeanMax(t *testing.T) {
 	}
 }
 
-// TestDistMergeEdgeCases pins the Merge contract the fleet-wide stats
-// roll-up relies on: exact count/mean/max combination, identity behaviour
-// for empty operands, and quantile preservation through the rank-strided
-// window thinning.
-func TestDistMergeEdgeCases(t *testing.T) {
-	// empty <- empty: still the zero Dist.
-	var a, b Dist
-	a.Merge(&b)
-	a.Merge(nil)
-	if a.Count() != 0 || a.Mean() != 0 || a.Max() != 0 || a.Quantile(0.5) != 0 {
-		t.Fatal("merging empties must leave the zero Dist")
-	}
-
-	// empty <- nonempty: wholesale adoption — every stat matches the source.
-	var src Dist
-	for _, v := range []float64{5, 1, 4, 2, 3} {
-		src.Add(v)
-	}
-	var dst Dist
-	dst.Merge(&src)
-	if dst.Count() != src.Count() || dst.Mean() != src.Mean() || dst.Max() != src.Max() {
-		t.Errorf("empty<-nonempty: count/mean/max = %d/%v/%v, want %d/%v/%v",
-			dst.Count(), dst.Mean(), dst.Max(), src.Count(), src.Mean(), src.Max())
-	}
-	for _, q := range []float64{0, 0.5, 1} {
-		if dst.Quantile(q) != src.Quantile(q) {
-			t.Errorf("empty<-nonempty: Quantile(%v) = %v, want %v", q, dst.Quantile(q), src.Quantile(q))
-		}
-	}
-
-	// nonempty <- empty: a no-op.
-	before := dst
-	dst.Merge(&Dist{})
-	if dst.Count() != before.Count() || dst.Quantile(0.5) != before.Quantile(0.5) {
-		t.Error("nonempty<-empty must be a no-op")
-	}
-
-	// Two disjoint replicas: pooled quantiles, exact combined moments. Max
-	// must be the global max even when it lives in the merged-in source.
-	var lo, hi Dist
-	for i := 1; i <= 100; i++ {
-		lo.Add(float64(i))       // 1..100
-		hi.Add(float64(i + 100)) // 101..200
-	}
-	lo.Merge(&hi)
-	if lo.Count() != 200 {
-		t.Errorf("merged count = %d, want 200", lo.Count())
-	}
-	if lo.Mean() != 100.5 {
-		t.Errorf("merged mean = %v, want 100.5", lo.Mean())
-	}
-	if lo.Max() != 200 {
-		t.Errorf("merged max = %v, want 200", lo.Max())
-	}
-	if got := lo.Quantile(0); got != 1 {
-		t.Errorf("merged Quantile(0) = %v, want 1", got)
-	}
-	if got := lo.Quantile(1); got != 200 {
-		t.Errorf("merged Quantile(1) = %v, want 200", got)
-	}
-	// The median of the pooled 1..200 stream sits at the replica seam.
-	if got := lo.Quantile(0.5); got < 95 || got > 105 {
-		t.Errorf("merged Quantile(0.5) = %v, want ~100", got)
-	}
-}
-
-// TestDistMergeOverflowThinsQuantilePreserving pools two full windows (2 x
-// distWindow samples) and requires the thinned window to keep the pooled
-// extremes and hold interior quantiles to the stride resolution.
-func TestDistMergeOverflowThinsQuantilePreserving(t *testing.T) {
-	var a, b Dist
-	for i := 0; i < distWindow; i++ {
-		a.Add(float64(2 * i))   // evens
-		b.Add(float64(2*i + 1)) // odds
-	}
-	a.Merge(&b)
-	if a.Count() != 2*distWindow {
-		t.Errorf("count = %d", a.Count())
-	}
-	if len(a.ring) != distWindow {
-		t.Errorf("merged ring grew to %d, want %d", len(a.ring), distWindow)
-	}
-	if got := a.Quantile(0); got != 0 {
-		t.Errorf("pooled min lost: Quantile(0) = %v", got)
-	}
-	if got := a.Quantile(1); got != float64(2*distWindow-1) {
-		t.Errorf("pooled max lost: Quantile(1) = %v", got)
-	}
-	// The pooled stream is 0..2N-1 uniformly, so every quantile q should
-	// land within one stride (2 pooled ranks) of q*(2N-1).
-	for _, q := range []float64{0.1, 0.25, 0.5, 0.75, 0.9, 0.99} {
-		want := q * float64(2*distWindow-1)
-		if got := a.Quantile(q); got < want-4 || got > want+4 {
-			t.Errorf("thinned Quantile(%v) = %v, want ~%v", q, got, want)
-		}
-	}
-	// Determinism: the same merge on identical inputs is bit-identical.
-	var c, d Dist
-	for i := 0; i < distWindow; i++ {
-		c.Add(float64(2 * i))
-		d.Add(float64(2*i + 1))
-	}
-	c.Merge(&d)
-	for _, q := range []float64{0, 0.25, 0.5, 0.75, 1} {
-		if a.Quantile(q) != c.Quantile(q) {
-			t.Fatalf("merge nondeterministic at Quantile(%v)", q)
-		}
-	}
-}
-
 func TestServingTable(t *testing.T) {
 	out := ServingTable("sessions", []ServingRow{
 		{Session: "1 10.0.0.1:555", Served: 12, Rejected: 2, MeanInferMs: 310.5, MeanWaitMs: 1.25},

@@ -9,18 +9,6 @@ import (
 	"edgeis/internal/segmodel"
 )
 
-// DropPolicy names a backend's behaviour when its offload queue is full.
-type DropPolicy uint8
-
-const (
-	// DropOldest replaces the oldest waiting offload with the newcomer:
-	// latest-wins, the discipline a real-time edge queue wants.
-	DropOldest DropPolicy = iota
-	// DropNewest rejects the incoming offload when the queue is full — the
-	// behaviour of a bounded send queue in front of a socket.
-	DropNewest
-)
-
 // BackendStats is the accounting every backend reports, so simulated and
 // live runs describe offload loss and edge work identically. Results,
 // DroppedOffloads and MigratedOffloads are a backend's metrics.Ledger seen
@@ -34,9 +22,9 @@ type BackendStats struct {
 	// DiscardedResults counts results thrown away because their frame index
 	// was out of range for the running clip.
 	DiscardedResults int
-	// MigratedOffloads counts offloads lost in flight to a replica kill
-	// under a sharded backend (FleetSimBackend): accepted by the edge but
-	// still waiting when it died. Always zero on single-edge backends.
+	// MigratedOffloads is the ledger's migrated bucket: offloads accepted
+	// by an edge that died before serving them. The single simulated edge
+	// never dies, so it reads zero there.
 	MigratedOffloads int
 	// Results counts inference results produced (sim) or received (live).
 	Results int
@@ -104,12 +92,12 @@ type waitingOffload struct {
 }
 
 // SimBackend is the simulated edge: an uplink and downlink from netsim and a
-// segmodel edge model, with a bounded latest-wins queue in front of a pool
-// of accelerators (default one). It reproduces the legacy Engine.Run
-// scheduling exactly — the order of link and model calls is load-bearing for
-// determinism, since links carry RNG state and a busy horizon. With one
-// accelerator the busy-horizon math is identical to the historical single
-// edgeFreeAt field, so golden runs are byte-stable.
+// segmodel edge model, with a bounded latest-wins queue in front of one
+// accelerator that serves one offload per launch. It reproduces the legacy
+// Engine.Run scheduling exactly — the order of link and model calls is
+// load-bearing for determinism, since links carry RNG state and a busy
+// horizon. Accelerator pools, batching and failover are modelled by the
+// serving stack's simulator (internal/loadgen), not here.
 type SimBackend struct {
 	model      *segmodel.Model
 	inferScale float64
@@ -118,25 +106,17 @@ type SimBackend struct {
 	seed       int64
 	frames     []*scene.Frame
 	queueDepth int
-	// maxBatch bounds how many compatible waiting offloads one accelerator
-	// launch may serve; 1 is the historical one-job-per-launch edge.
-	maxBatch int
-	// freeAt is the busy horizon of each simulated accelerator; requests are
-	// served FIFO on the earliest-free one (lowest index breaks ties).
-	freeAt  []float64
+	// freeAt is the accelerator's busy horizon; waiting offloads are
+	// served FIFO as it frees up.
+	freeAt  float64
 	waiting []waitingOffload
 	// keyframe is the skip-compute state of the backend's single client
 	// stream (the engine drives one mobile).
 	keyframe segmodel.KeyframeStream
-	// led accounts every Submit (offered) to a result, an overflow drop or —
-	// through FleetSimBackend — a replica kill; stats holds the rest.
+	// led accounts every Submit (offered) to a result or an overflow drop;
+	// stats holds the rest.
 	led   metrics.Ledger
 	stats BackendStats
-	// batch is the launch being formed; it, results and solos are reused
-	// across launches so a launch of one allocates nothing.
-	batch   []waitingOffload
-	results []*segmodel.Result
-	solos   []float64
 }
 
 // SimBackendConfig assembles a simulated edge.
@@ -150,14 +130,6 @@ type SimBackendConfig struct {
 	Profile netsim.Profile
 	// Seed derives the two link RNG streams and per-frame model noise.
 	Seed int64
-	// Accelerators sizes the simulated inference pool; zero or one keeps
-	// the deterministic single-accelerator edge.
-	Accelerators int
-	// MaxBatch bounds the batch former: an accelerator launch may serve up
-	// to this many waiting offloads of one guidance class in one amortized
-	// launch (segmodel.BatchMs). Zero or one is the one-job-per-launch
-	// edge the goldens pin (BatchMs of one job is that job's latency).
-	MaxBatch int
 	// Keyframe enables temporal-redundancy skip-compute: non-keyframes warp
 	// the stream's cached backbone pyramid at partial cost instead of
 	// recomputing it. The zero policy keeps every frame a keyframe and the
@@ -173,12 +145,6 @@ func NewSimBackend(cfg SimBackendConfig) *SimBackend {
 	if cfg.InferScale == 0 {
 		cfg.InferScale = 1
 	}
-	if cfg.Accelerators < 1 {
-		cfg.Accelerators = 1
-	}
-	if cfg.MaxBatch < 1 {
-		cfg.MaxBatch = 1
-	}
 	return &SimBackend{
 		model:      cfg.Model,
 		inferScale: cfg.InferScale,
@@ -186,22 +152,8 @@ func NewSimBackend(cfg SimBackendConfig) *SimBackend {
 		downlink:   netsim.NewLink(cfg.Profile, cfg.Seed+2),
 		seed:       cfg.Seed,
 		queueDepth: 1,
-		maxBatch:   cfg.MaxBatch,
-		freeAt:     make([]float64, cfg.Accelerators),
 		keyframe:   segmodel.KeyframeStream{Policy: cfg.Keyframe},
 	}
-}
-
-// earliestFree picks the accelerator that frees up first, lowest index
-// winning ties so single-accelerator runs reduce to the legacy math.
-func (b *SimBackend) earliestFree() (int, float64) {
-	idx, free := 0, b.freeAt[0]
-	for i := 1; i < len(b.freeAt); i++ {
-		if b.freeAt[i] < free {
-			idx, free = i, b.freeAt[i]
-		}
-	}
-	return idx, free
 }
 
 // Name implements EdgeBackend.
@@ -233,9 +185,8 @@ func (b *SimBackend) Submit(req *OffloadRequest, sendAt float64) []ScheduledResu
 	arrive := sendAt + upMs
 	out := b.advance(arrive)
 	item := waitingOffload{arrival: arrive, req: req, decision: d}
-	if accel, free := b.earliestFree(); free <= arrive && len(b.waiting) == 0 {
-		b.batch = append(b.batch[:0], item)
-		return b.startBatch(out, arrive, accel)
+	if b.freeAt <= arrive && len(b.waiting) == 0 {
+		return b.start(out, item, arrive)
 	}
 	b.waiting = append(b.waiting, item)
 	if len(b.waiting) > b.queueDepth {
@@ -254,86 +205,50 @@ func (b *SimBackend) Advance(now float64) []ScheduledResult { return b.advance(n
 func (b *SimBackend) advance(now float64) []ScheduledResult {
 	var out []ScheduledResult
 	for len(b.waiting) > 0 {
-		accel, free := b.earliestFree()
-		if free > now {
-			break
-		}
 		item := b.waiting[0]
-		start := free
-		if item.arrival > start {
-			start = item.arrival
+		at := b.freeAt
+		if item.arrival > at {
+			at = item.arrival
 		}
-		if start > now {
+		if at > now {
 			break
 		}
 		b.waiting = b.waiting[1:]
-		// Batch former: extend the head with waiting offloads that have
-		// already arrived by the launch instant and share its guidance
-		// class (a guided two-stage pass evaluates a different network
-		// slice than a vanilla one, so the classes never co-batch) and its
-		// keyframe class (a full backbone and a cache warp are different
-		// cost shapes; with the policy off every decision is a keyframe, so
-		// the predicate reduces to the guidance-only test).
-		b.batch = append(b.batch[:0], item)
-		guided := item.req.Guidance != nil
-		for i := 0; len(b.batch) < b.maxBatch && i < len(b.waiting); {
-			w := b.waiting[i]
-			if w.arrival <= start && (w.req.Guidance != nil) == guided &&
-				w.decision.Keyframe == item.decision.Keyframe {
-				b.batch = append(b.batch, w)
-				b.waiting = append(b.waiting[:i], b.waiting[i+1:]...)
-			} else {
-				i++
-			}
-		}
-		out = b.startBatch(out, start, accel)
+		out = b.start(out, item, at)
 	}
 	return out
 }
 
-// startBatch serves b.batch (one offload, without the batch former) in one
-// amortized launch starting at startAt on accelerator accel: every member
-// occupies the accelerator for segmodel.BatchMs over the members' scaled
-// solo latencies and completes together, then each result rides the downlink
-// in queue order and is appended to out. The keyframe decision picks each
-// member's cost shape: keyframes run the full model (RunWarped is exactly
-// Run then), non-keyframes charge the partial warp cost.
-func (b *SimBackend) startBatch(out []ScheduledResult, startAt float64, accel int) []ScheduledResult {
-	b.results, b.solos = b.results[:0], b.solos[:0]
-	for _, item := range b.batch {
-		in := modelInput(b.frames, b.seed, item.req)
-		res := b.model.RunWarped(in, item.req.Guidance, item.decision)
-		b.results = append(b.results, res)
-		b.solos = append(b.solos, res.TotalMs()*b.inferScale)
-	}
-	launchMs := segmodel.BatchMs(b.solos)
-	doneAt := startAt + launchMs
-	b.freeAt[accel] = doneAt
-
-	for i, item := range b.batch {
-		res := b.results[i]
-		b.stats.InferMsSum += launchMs
-		b.led.Serve(1)
-		resultBytes := 256
-		for _, d := range res.Detections {
-			if d.Mask != nil {
-				resultBytes += 16 + d.Mask.BoundingBox().Area()/64
-			} else {
-				resultBytes += 32
-			}
+// start serves item on the accelerator from instant at: the keyframe
+// decision picks the cost shape (keyframes run the full model, for which
+// RunWarped is exactly Run; non-keyframes charge the partial warp cost), the
+// accelerator is busy for the scaled latency, and the result rides the
+// downlink and is appended to out.
+func (b *SimBackend) start(out []ScheduledResult, item waitingOffload, at float64) []ScheduledResult {
+	in := modelInput(b.frames, b.seed, item.req)
+	res := b.model.RunWarped(in, item.req.Guidance, item.decision)
+	inferMs := res.TotalMs() * b.inferScale
+	b.freeAt = at + inferMs
+	b.stats.InferMsSum += inferMs
+	b.led.Serve(1)
+	resultBytes := 256
+	for _, d := range res.Detections {
+		if d.Mask != nil {
+			resultBytes += 16 + d.Mask.BoundingBox().Area()/64
+		} else {
+			resultBytes += 32
 		}
-		b.stats.DownlinkBytes += resultBytes
-		downMs := b.downlink.TransferMs(doneAt, resultBytes)
-		out = append(out, ScheduledResult{
-			At: doneAt + downMs,
-			Res: EdgeResult{
-				FrameIndex: item.req.FrameIndex,
-				Detections: res.Detections,
-				InferMs:    launchMs,
-			},
-		})
 	}
-	return out
+	b.stats.DownlinkBytes += resultBytes
+	downMs := b.downlink.TransferMs(b.freeAt, resultBytes)
+	return append(out, ScheduledResult{
+		At: b.freeAt + downMs,
+		Res: EdgeResult{
+			FrameIndex: item.req.FrameIndex,
+			Detections: res.Detections,
+			InferMs:    inferMs,
+		},
+	})
 }
 
 // modelInput converts the offloaded frame's ground truth plus the encode
@@ -369,122 +284,3 @@ func (b *SimBackend) Stats() BackendStats { return b.stats.WithLedger(b.led) }
 
 // Close implements EdgeBackend.
 func (b *SimBackend) Close() error { return nil }
-
-// LoopbackBackend runs the edge model synchronously in-process: offloads
-// incur inference latency on a single simulated accelerator but no network
-// transfer — an idealized co-located edge. Its queue bounds the number of
-// results still in flight; overflow rejects the incoming offload
-// (DropNewest), mirroring a bounded send queue.
-type LoopbackBackend struct {
-	model      *segmodel.Model
-	inferScale float64
-	seed       int64
-	frames     []*scene.Frame
-	queueDepth int
-	edgeFreeAt float64
-	inflight   int
-	keyframe   segmodel.KeyframeStream
-	led        metrics.Ledger
-	stats      BackendStats
-}
-
-// NewLoopbackBackend builds an in-process backend around a model (nil
-// defaults to Mask R-CNN). InferScale <= 0 means 1.
-func NewLoopbackBackend(model *segmodel.Model, inferScale float64, seed int64) *LoopbackBackend {
-	if model == nil {
-		model = segmodel.New(segmodel.MaskRCNN)
-	}
-	if inferScale <= 0 {
-		inferScale = 1
-	}
-	return &LoopbackBackend{model: model, inferScale: inferScale, seed: seed, queueDepth: 4}
-}
-
-// SetKeyframePolicy enables temporal-redundancy skip-compute on the loopback
-// edge. Must be called before the first Submit; the zero policy (the
-// default) keeps every frame a keyframe and the schedule unchanged.
-func (b *LoopbackBackend) SetKeyframePolicy(p segmodel.KeyframePolicy) {
-	b.keyframe.Policy = p
-}
-
-// Name implements EdgeBackend.
-func (b *LoopbackBackend) Name() string { return "loopback" }
-
-// Bind implements EdgeBackend.
-func (b *LoopbackBackend) Bind(frames []*scene.Frame, queueDepth int) {
-	b.frames = frames
-	if queueDepth > 0 {
-		b.queueDepth = queueDepth
-	}
-}
-
-// Submit implements EdgeBackend: the model runs immediately; delivery is due
-// when the single accelerator finishes the request.
-func (b *LoopbackBackend) Submit(req *OffloadRequest, sendAt float64) []ScheduledResult {
-	// Classify before the admission check, in the live scheduler's
-	// decide-at-admission order; a rejected keyframe invalidates the cache.
-	// With the policy off the decision is constant and the overflow path
-	// does no model-input work.
-	d := segmodel.KeyframeDecision{Keyframe: true, Reason: segmodel.KeyDisabled}
-	if b.keyframe.Policy.Enabled() {
-		d = b.keyframe.Decide(modelInput(b.frames, b.seed, req), req.Guidance)
-	}
-	b.led.Offer(1)
-	if b.inflight >= b.queueDepth {
-		b.led.Drop(1)
-		b.keyframe.Lost(d)
-		return nil
-	}
-	b.stats.Submitted++
-	b.stats.UplinkBytes += req.PayloadBytes
-	in := modelInput(b.frames, b.seed, req)
-	res := b.model.RunWarped(in, req.Guidance, d)
-	inferMs := res.TotalMs() * b.inferScale
-	start := sendAt
-	if b.edgeFreeAt > start {
-		start = b.edgeFreeAt
-	}
-	b.edgeFreeAt = start + inferMs
-	b.stats.InferMsSum += inferMs
-	b.led.Serve(1)
-	b.inflight++
-	return []ScheduledResult{{
-		At: b.edgeFreeAt,
-		Res: EdgeResult{
-			FrameIndex: req.FrameIndex,
-			Detections: res.Detections,
-			InferMs:    inferMs,
-		},
-	}}
-}
-
-// Advance implements EdgeBackend; loopback work completes at Submit time.
-func (b *LoopbackBackend) Advance(float64) []ScheduledResult { return nil }
-
-// Outstanding implements EdgeBackend. Results scheduled at Submit count as
-// surfaced, so loopback never reports unfinished work to the engine; the
-// inflight cap is released as deliveries are consumed via NoteDelivered.
-func (b *LoopbackBackend) Outstanding() int { return 0 }
-
-// NoteDelivered releases one in-flight slot; the engine calls it when a
-// scheduled result reaches the strategy.
-func (b *LoopbackBackend) NoteDelivered() {
-	if b.inflight > 0 {
-		b.inflight--
-	}
-}
-
-// Wait implements EdgeBackend.
-func (b *LoopbackBackend) Wait(time.Duration) bool { return false }
-
-// Stats implements EdgeBackend.
-func (b *LoopbackBackend) Stats() BackendStats { return b.stats.WithLedger(b.led) }
-
-// Close implements EdgeBackend.
-func (b *LoopbackBackend) Close() error { return nil }
-
-// resultDeliveryObserver lets a backend learn when a scheduled result was
-// handed to the strategy (loopback uses it to release queue slots).
-type resultDeliveryObserver interface {
-	NoteDelivered()
-}

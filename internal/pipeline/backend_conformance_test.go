@@ -10,53 +10,20 @@ import (
 )
 
 // TestBackendConformance runs the shared EdgeBackend contract against the
-// two in-process backends. The TCP backend runs the same table from
-// package live, where a real server is available.
+// simulated backend. The TCP backend runs the same harness from package
+// live, where a real server is available.
 func TestBackendConformance(t *testing.T) {
-	dropOldest := pipeline.DropOldest
-	dropNewest := pipeline.DropNewest
-	targets := []backendtest.Target{
-		{
-			Name: "sim",
-			New: func(t *testing.T, frames []*scene.Frame, queueDepth int) pipeline.EdgeBackend {
-				b := pipeline.NewSimBackend(pipeline.SimBackendConfig{
-					Profile: netsim.DefaultProfile(netsim.WiFi5),
-					Seed:    5,
-				})
-				b.Bind(frames, queueDepth)
-				return b
-			},
-			Drop: &dropOldest,
+	tg := backendtest.Target{
+		Name: "sim",
+		New: func(t *testing.T, frames []*scene.Frame, queueDepth int) pipeline.EdgeBackend {
+			b := pipeline.NewSimBackend(pipeline.SimBackendConfig{
+				Profile: netsim.DefaultProfile(netsim.WiFi5),
+				Seed:    5,
+			})
+			b.Bind(frames, queueDepth)
+			return b
 		},
-		{
-			// A kill-free fleet must meet the same contract as a single edge:
-			// placement only picks where work runs, never changes what the
-			// mobile observes.
-			Name: "sim-fleet",
-			New: func(t *testing.T, frames []*scene.Frame, queueDepth int) pipeline.EdgeBackend {
-				b := pipeline.NewFleetSimBackend(pipeline.FleetSimConfig{
-					Base: pipeline.SimBackendConfig{
-						Profile: netsim.DefaultProfile(netsim.WiFi5),
-						Seed:    5,
-					},
-					Replicas: 3,
-				})
-				b.Bind(frames, queueDepth)
-				return b
-			},
-			Drop: &dropOldest,
-		},
-		{
-			Name: "loopback",
-			New: func(t *testing.T, frames []*scene.Frame, queueDepth int) pipeline.EdgeBackend {
-				b := pipeline.NewLoopbackBackend(nil, 1, 5)
-				b.Bind(frames, queueDepth)
-				return b
-			},
-			Drop: &dropNewest,
-		},
+		LatestWins: true,
 	}
-	for _, tg := range targets {
-		t.Run(tg.Name, func(t *testing.T) { backendtest.Conformance(t, tg) })
-	}
+	t.Run(tg.Name, func(t *testing.T) { backendtest.Conformance(t, tg) })
 }

@@ -74,46 +74,3 @@ func TestSimBackendDroppedKeyframeInvalidatesCache(t *testing.T) {
 		t.Errorf("post-invalidation decision = %+v, want cold keyframe", last.decision)
 	}
 }
-
-// TestLoopbackRejectedKeyframeInvalidatesCache pins the same rule on the
-// loopback edge, whose overflow rejects the incoming offload: a rejected
-// keyframe drops the cache, and the next admitted frame re-primes it.
-func TestLoopbackRejectedKeyframeInvalidatesCache(t *testing.T) {
-	frames := internalFrames(6, 12)
-	b := NewLoopbackBackend(nil, 1, 6)
-	b.SetKeyframePolicy(segmodel.KeyframePolicy{Interval: 8})
-	b.Bind(frames, 1)
-
-	// Frame 0 is served (cold keyframe) and pins the single in-flight slot.
-	if got := len(b.Submit(internalRequest(0), 0)); got != 1 {
-		t.Fatalf("frame 0 results = %d, want 1", got)
-	}
-	// Frames 1-7 are warp decisions rejected at the full queue: the cache
-	// ages but stays valid.
-	for i := 1; i < 8; i++ {
-		if got := len(b.Submit(internalRequest(i), float64(i))); got != 0 {
-			t.Fatalf("frame %d unexpectedly admitted", i)
-		}
-	}
-	if !b.keyframe.Valid() {
-		t.Fatal("rejected warp frames invalidated the cache")
-	}
-	// Frame 8 hits the forced-keyframe interval; its rejection must
-	// invalidate the cache.
-	b.Submit(internalRequest(8), 8)
-	if b.keyframe.Valid() {
-		t.Error("rejected keyframe left the cache valid")
-	}
-	// Free the slot; the next admitted frame is a cold keyframe and
-	// re-primes the cache.
-	b.NoteDelivered()
-	if got := len(b.Submit(internalRequest(9), 9)); got != 1 {
-		t.Fatalf("frame 9 results = %d, want 1", got)
-	}
-	if !b.keyframe.Valid() {
-		t.Error("served cold keyframe did not re-prime the cache")
-	}
-	if st := b.Stats(); st.DroppedOffloads != 8 || st.Results != 2 {
-		t.Errorf("stats = drops %d results %d, want 8 and 2", st.DroppedOffloads, st.Results)
-	}
-}

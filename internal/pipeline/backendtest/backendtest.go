@@ -1,10 +1,9 @@
 // Package backendtest is a conformance harness for pipeline.EdgeBackend
-// implementations. Every backend — simulated, loopback, live TCP — must
-// satisfy the same observable contract: results surface in submit order,
-// every offload is either answered or counted dropped (no silent loss), and
-// queue overflow follows the backend's declared drop policy. The harness is
-// table-driven so each backend package registers a Target and runs the same
-// subtests.
+// implementations. Every backend — simulated or live TCP — must satisfy the
+// same observable contract: results surface in submit order, and every
+// offload is either answered or counted dropped (no silent loss). A backend
+// whose queue overflow can be forced must also be latest-wins. Each backend
+// package registers a Target and runs the same subtests.
 package backendtest
 
 import (
@@ -25,10 +24,10 @@ type Target struct {
 	// time (TCP); the harness then polls Advance with short sleeps instead
 	// of jumping the simulated clock once.
 	WallClock bool
-	// Drop declares the queue-overflow discipline. Nil skips the overflow
-	// subtest — a socket-backed queue drains in wall time, so overflow
-	// cannot be forced deterministically.
-	Drop *pipeline.DropPolicy
+	// LatestWins runs the overflow subtest: a full queue must drop its
+	// oldest waiting offload. False skips it — a socket-backed queue drains
+	// in wall time, so overflow cannot be forced deterministically.
+	LatestWins bool
 }
 
 // Frames renders a small ground-truth clip for backend tests.
@@ -48,27 +47,13 @@ func request(i int) *pipeline.OffloadRequest {
 	}
 }
 
-// deliverer consumes scheduled results the way the engine does, including
-// the delivery notification that releases loopback queue slots.
+// deliverer collects scheduled results the way the engine does.
 type deliverer struct {
 	backend pipeline.EdgeBackend
 	got     []pipeline.ScheduledResult
-	// notify releases backend queue slots on delivery; the drop-policy test
-	// withholds it to force overflow.
-	notify bool
 }
 
-func (d *deliverer) take(rs []pipeline.ScheduledResult) {
-	for _, r := range rs {
-		d.got = append(d.got, r)
-		if !d.notify {
-			continue
-		}
-		if nd, ok := d.backend.(interface{ NoteDelivered() }); ok {
-			nd.NoteDelivered()
-		}
-	}
-}
+func (d *deliverer) take(rs []pipeline.ScheduledResult) { d.got = append(d.got, rs...) }
 
 // drain advances the backend until want results have surfaced. Simulated
 // backends get one jump past any service time; wall-clock backends are
@@ -98,7 +83,7 @@ func Conformance(t *testing.T, tg Target) {
 	t.Run("delivery-order", func(t *testing.T) {
 		b := tg.New(t, frames, len(frames))
 		defer func() { _ = b.Close() }()
-		d := &deliverer{backend: b, notify: true}
+		d := &deliverer{backend: b}
 		const n = 6
 		for i := 0; i < n; i++ {
 			d.take(b.Submit(request(i), float64(i)*pipeline.FrameBudgetMs))
@@ -125,7 +110,7 @@ func Conformance(t *testing.T, tg Target) {
 	t.Run("conservation", func(t *testing.T) {
 		b := tg.New(t, frames, len(frames))
 		defer func() { _ = b.Close() }()
-		d := &deliverer{backend: b, notify: true}
+		d := &deliverer{backend: b}
 		const n = 6
 		for i := 0; i < n; i++ {
 			d.take(b.Submit(request(i), 0))
@@ -156,13 +141,13 @@ func Conformance(t *testing.T, tg Target) {
 		}
 	})
 
-	if tg.Drop == nil {
+	if !tg.LatestWins {
 		return
 	}
 	t.Run("drop-policy", func(t *testing.T) {
 		b := tg.New(t, frames, 1)
 		defer func() { _ = b.Close() }()
-		d := &deliverer{backend: b, notify: false}
+		d := &deliverer{backend: b}
 		const n = 4
 		// All four offloads land while the edge is busy with the first, so
 		// a depth-1 queue must shed two of the middle ones.
@@ -184,15 +169,8 @@ func Conformance(t *testing.T, tg Target) {
 		if !survivors[0] {
 			t.Error("the in-service offload (frame 0) must survive")
 		}
-		switch *tg.Drop {
-		case pipeline.DropOldest:
-			if !survivors[n-1] {
-				t.Errorf("DropOldest must keep the newest offload; survivors %v", survivors)
-			}
-		case pipeline.DropNewest:
-			if survivors[n-1] {
-				t.Errorf("DropNewest must shed the newest offload; survivors %v", survivors)
-			}
+		if !survivors[n-1] {
+			t.Errorf("latest-wins must keep the newest offload; survivors %v", survivors)
 		}
 	})
 }

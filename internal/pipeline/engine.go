@@ -1,10 +1,10 @@
 // Package pipeline is the end-to-end engine: a simulated clock drives camera
 // frames at 30 fps through a mobile-side strategy (edgeIS or a baseline) and
-// an EdgeBackend serving inference — the simulated model+netsim backend, an
-// in-process loopback, or a real TCP edge server. The engine accounts for
-// mobile compute time, encode time, transmission, edge queueing and
-// inference, and scores what is actually ON SCREEN at each frame's display
-// deadline against ground truth — reproducing the
+// an EdgeBackend serving inference — the simulated model+netsim backend or
+// a real TCP edge server. The engine accounts for mobile compute time,
+// encode time, transmission, edge queueing and inference, and scores what
+// is actually ON SCREEN at each frame's display deadline against ground
+// truth — reproducing the
 // latency-accumulates-into-staleness coupling the paper describes
 // ("latency longer than 33ms accumulates and eventually results in a
 // delayed mask rendering on a later frame").
@@ -91,31 +91,16 @@ type Config struct {
 	EdgeModel *segmodel.Model
 	// EdgeInferScale multiplies inference latency (device.Profile.InferScale).
 	EdgeInferScale float64
-	// EdgeAccelerators sizes the simulated edge's inference pool (simulated
-	// backend only); zero or one keeps the deterministic single accelerator.
-	EdgeAccelerators int
-	// EdgeMaxBatch bounds the simulated edge's cross-queue batch former
-	// (simulated backend only); zero or one keeps the deterministic
-	// one-job-per-launch edge.
-	EdgeMaxBatch int
 	// EdgeKeyframe enables the simulated edge's temporal-redundancy
 	// skip-compute (simulated backend only): non-keyframes warp the cached
 	// backbone pyramid at partial cost. The zero policy keeps every frame a
 	// keyframe and the run byte-identical to a cache-free build.
 	EdgeKeyframe segmodel.KeyframePolicy
-	// EdgeReplicas shards the default simulated edge into a fleet of
-	// replicas (FleetSimBackend): the run's session is rendezvous-placed on
-	// one of them and fails over if it dies. Zero or one keeps the
-	// single-edge backend, byte-identical to the pre-fleet engine.
-	EdgeReplicas int
-	// EdgeKills schedules replica failures for the sharded edge (ignored
-	// when EdgeReplicas <= 1).
-	EdgeKills []EdgeKill
 	// Seed drives all stochastic components.
 	Seed int64
 	// Backend overrides the edge serving the run. Nil builds the default
-	// simulated backend from Medium/NetworkProfile/EdgeModel/Seed; a
-	// LoopbackBackend or a live TCP adapter plugs in here.
+	// simulated backend from Medium/NetworkProfile/EdgeModel/Seed; a live
+	// TCP adapter plugs in here.
 	Backend EdgeBackend
 	// OnFrame, when non-nil, observes each frame's eval as its display
 	// deadline resolves — progress reporting and wall-clock pacing hook.
@@ -155,9 +140,8 @@ type RunStats struct {
 	// DiscardedResults counts edge results thrown away because their frame
 	// index was out of range for the clip.
 	DiscardedResults int
-	// MigratedOffloads counts offloads lost in flight to a replica kill when
-	// the run is served by a sharded edge fleet (EdgeReplicas > 1); zero on
-	// single-edge runs.
+	// MigratedOffloads is the backend's migrated bucket (BackendStats):
+	// offloads lost in flight to an edge failure.
 	MigratedOffloads int
 }
 
@@ -204,24 +188,13 @@ func NewEngine(cfg Config, strategy Strategy) *Engine {
 		if cfg.NetworkProfile != nil {
 			profile = *cfg.NetworkProfile
 		}
-		simCfg := SimBackendConfig{
-			Model:        cfg.EdgeModel,
-			InferScale:   cfg.EdgeInferScale,
-			Profile:      profile,
-			Seed:         cfg.Seed,
-			Accelerators: cfg.EdgeAccelerators,
-			MaxBatch:     cfg.EdgeMaxBatch,
-			Keyframe:     cfg.EdgeKeyframe,
-		}
-		if cfg.EdgeReplicas > 1 {
-			backend = NewFleetSimBackend(FleetSimConfig{
-				Base:     simCfg,
-				Replicas: cfg.EdgeReplicas,
-				Kills:    cfg.EdgeKills,
-			})
-		} else {
-			backend = NewSimBackend(simCfg)
-		}
+		backend = NewSimBackend(SimBackendConfig{
+			Model:      cfg.EdgeModel,
+			InferScale: cfg.EdgeInferScale,
+			Profile:    profile,
+			Seed:       cfg.Seed,
+			Keyframe:   cfg.EdgeKeyframe,
+		})
 	}
 	e := &Engine{
 		cfg:       cfg,
@@ -309,9 +282,6 @@ func (e *Engine) Run() ([]FrameEval, RunStats) {
 
 	deliver := func(ev event) {
 		e.strategy.HandleEdgeResult(ev.res, e.frames[ev.res.FrameIndex], ev.at)
-		if obs, ok := e.backend.(resultDeliveryObserver); ok {
-			obs.NoteDelivered()
-		}
 	}
 	schedule := func(rs []ScheduledResult) {
 		for _, r := range rs {
@@ -439,11 +409,6 @@ func truthsOf(f *scene.Frame) []metrics.TruthMask {
 		})
 	}
 	return out
-}
-
-// Evaluate folds per-frame evals into an accumulator.
-func Evaluate(name string, evals []FrameEval) *metrics.Accumulator {
-	return EvaluateFrom(name, evals, 0)
 }
 
 // EvaluateFrom skips the first warmup frames — the VO initialization window

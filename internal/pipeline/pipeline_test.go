@@ -85,7 +85,9 @@ func TestSystemOrderingFig9(t *testing.T) {
 		acc, _ := runSystem(t, cfg, s)
 		accs = append(accs, acc)
 	}
-	t.Logf("\n%s", metrics.Table("Fig.9-style comparison", accs))
+	for _, acc := range accs {
+		t.Log(acc.Row())
+	}
 
 	edgeIS, eaar, duet, best, mobile := accs[0], accs[1], accs[2], accs[3], accs[4]
 	fr := func(a *metrics.Accumulator) float64 { return a.FalseRate(metrics.StrictThreshold) }
@@ -164,7 +166,7 @@ func TestEvaluateAggregation(t *testing.T) {
 		{IoUs: []float64{0.9, 0.8}, LatencyMs: 20},
 		{IoUs: []float64{0.4}, LatencyMs: 30},
 	}
-	acc := pipeline.Evaluate("x", evals)
+	acc := pipeline.EvaluateFrom("x", evals, 0)
 	if acc.Samples() != 3 {
 		t.Errorf("samples = %d", acc.Samples())
 	}

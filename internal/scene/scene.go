@@ -35,7 +35,6 @@ const (
 	Valve
 	Tank
 	Gauge
-	numClasses
 )
 
 var classNames = map[Class]string{
@@ -61,9 +60,6 @@ func (c Class) String() string {
 	}
 	return fmt.Sprintf("class(%d)", int(c))
 }
-
-// NumClasses returns the number of instance classes (excluding background).
-func NumClasses() int { return int(numClasses) - 1 }
 
 // Motion describes a rigid-body motion: constant linear velocity plus a
 // constant angular velocity (axis-angle rate, rad/s) about the object

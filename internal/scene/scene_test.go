@@ -26,9 +26,6 @@ func TestClassString(t *testing.T) {
 	if Class(99).String() == "" {
 		t.Error("unknown class should still stringify")
 	}
-	if NumClasses() < 10 {
-		t.Errorf("NumClasses = %d", NumClasses())
-	}
 }
 
 func TestObjectPoseStatic(t *testing.T) {
