@@ -1,23 +1,22 @@
 package linalg
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
-// SymEigen computes the eigendecomposition of a symmetric matrix using the
-// cyclic Jacobi method. It returns eigenvalues in descending order and the
-// matching eigenvectors as columns of the returned matrix. The input is not
+// SymEigen computes the eigendecomposition of the symmetric n x n row-major
+// matrix a, n = len(vals) <= maxN, using the cyclic Jacobi method. It writes
+// the eigenvalues into vals in descending order and the matching
+// eigenvectors as the columns of the n x n row-major vecs. a is not
 // modified.
 //
 // Jacobi is quadratic-per-sweep but unconditionally stable, which is exactly
 // right for the tiny (<=9x9) Gram matrices of two-view geometry.
-func SymEigen(a *Dense) (vals []float64, vecs *Dense) {
-	n := a.Rows
-	m := a.Clone()
-	v := NewDense(n, n)
+func SymEigen(a, vals, vecs []float64) {
+	n := len(vals)
+	var mbuf, vbuf [maxN * maxN]float64
+	m, v := mbuf[:n*n], vbuf[:n*n]
+	copy(m, a[:n*n])
 	for i := 0; i < n; i++ {
-		v.Set(i, i, 1)
+		v[i*n+i] = 1
 	}
 
 	const maxSweeps = 64
@@ -25,7 +24,7 @@ func SymEigen(a *Dense) (vals []float64, vecs *Dense) {
 		off := 0.0
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
-				off += m.At(i, j) * m.At(i, j)
+				off += float64(m[i*n+j] * m[i*n+j])
 			}
 		}
 		if off < 1e-24 {
@@ -33,77 +32,74 @@ func SymEigen(a *Dense) (vals []float64, vecs *Dense) {
 		}
 		for p := 0; p < n-1; p++ {
 			for q := p + 1; q < n; q++ {
-				apq := m.At(p, q)
+				apq := m[p*n+q]
 				if math.Abs(apq) < 1e-18 {
 					continue
 				}
-				app, aqq := m.At(p, p), m.At(q, q)
+				app, aqq := m[p*n+p], m[q*n+q]
 				theta := (aqq - app) / (2 * apq)
-				t := math.Copysign(1, theta) / (math.Abs(theta) + math.Sqrt(theta*theta+1))
-				c := 1 / math.Sqrt(t*t+1)
+				t := math.Copysign(1, theta) / (math.Abs(theta) + math.Sqrt(float64(theta*theta)+1))
+				c := 1 / math.Sqrt(float64(t*t)+1)
 				s := t * c
-				rotate(m, v, p, q, c, s)
+				rotate(m, v, n, p, q, c, s)
 			}
 		}
 	}
 
-	vals = make([]float64, n)
+	// Sort eigenpairs by descending eigenvalue with a stable insertion sort:
+	// equal eigenvalues keep their diagonal order.
+	var diag [maxN]float64
+	var idx [maxN]int
 	for i := 0; i < n; i++ {
-		vals[i] = m.At(i, i)
-	}
-	// Sort eigenpairs by descending eigenvalue.
-	idx := make([]int, n)
-	for i := range idx {
+		diag[i] = m[i*n+i]
 		idx[i] = i
 	}
-	sort.Slice(idx, func(a, b int) bool { return vals[idx[a]] > vals[idx[b]] })
-
-	sortedVals := make([]float64, n)
-	sortedVecs := NewDense(n, n)
-	for newCol, oldCol := range idx {
-		sortedVals[newCol] = vals[oldCol]
-		for r := 0; r < n; r++ {
-			sortedVecs.Set(r, newCol, v.At(r, oldCol))
+	for i := 1; i < n; i++ {
+		for j := i; j > 0 && diag[idx[j]] > diag[idx[j-1]]; j-- {
+			idx[j], idx[j-1] = idx[j-1], idx[j]
 		}
 	}
-	return sortedVals, sortedVecs
-}
-
-// rotate applies the Jacobi rotation J(p,q,theta) to m (two-sided) and
-// accumulates it into v (one-sided).
-func rotate(m, v *Dense, p, q int, c, s float64) {
-	n := m.Rows
-	for k := 0; k < n; k++ {
-		mkp, mkq := m.At(k, p), m.At(k, q)
-		m.Set(k, p, c*mkp-s*mkq)
-		m.Set(k, q, s*mkp+c*mkq)
-	}
-	for k := 0; k < n; k++ {
-		mpk, mqk := m.At(p, k), m.At(q, k)
-		m.Set(p, k, c*mpk-s*mqk)
-		m.Set(q, k, s*mpk+c*mqk)
-	}
-	for k := 0; k < n; k++ {
-		vkp, vkq := v.At(k, p), v.At(k, q)
-		v.Set(k, p, c*vkp-s*vkq)
-		v.Set(k, q, s*vkp+c*vkq)
+	for newCol, oldCol := range idx[:n] {
+		vals[newCol] = diag[oldCol]
+		for r := 0; r < n; r++ {
+			vecs[r*n+newCol] = v[r*n+oldCol]
+		}
 	}
 }
 
-// NullVector returns the unit vector x minimizing ||A x|| for a matrix with
-// more rows than columns — the smallest right singular vector of A, computed
-// as the smallest eigenvector of A^T A. It is the solver used for the
-// 8-point fundamental-matrix estimate (Eq. 1) and linear triangulation
-// (Eq. 3).
-func NullVector(a *Dense) []float64 {
-	gram := a.TransposeMul()
-	_, vecs := SymEigen(gram)
-	n := gram.Rows
-	out := make([]float64, n)
+// rotate applies the Jacobi rotation J(p,q,theta) to the n x n m (two-sided)
+// and accumulates it into v (one-sided).
+func rotate(m, v []float64, n, p, q int, c, s float64) {
+	for k := 0; k < n; k++ {
+		mkp, mkq := m[k*n+p], m[k*n+q]
+		m[k*n+p] = float64(c*mkp) - float64(s*mkq)
+		m[k*n+q] = float64(s*mkp) + float64(c*mkq)
+	}
+	for k := 0; k < n; k++ {
+		mpk, mqk := m[p*n+k], m[q*n+k]
+		m[p*n+k] = float64(c*mpk) - float64(s*mqk)
+		m[q*n+k] = float64(s*mpk) + float64(c*mqk)
+	}
+	for k := 0; k < n; k++ {
+		vkp, vkq := v[k*n+p], v[k*n+q]
+		v[k*n+p] = float64(c*vkp) - float64(s*vkq)
+		v[k*n+q] = float64(s*vkp) + float64(c*vkq)
+	}
+}
+
+// NullVector writes into x the unit vector minimizing ||A x|| given the
+// symmetric Gram matrix gram = A^T*A of order n = len(x) <= maxN: the
+// smallest right singular vector of A, computed as the smallest eigenvector
+// of A^T A. It is the solver used for the 8-point fundamental-matrix
+// estimate (Eq. 1) and linear triangulation (Eq. 3).
+func NullVector(gram, x []float64) {
+	n := len(x)
+	var vals [maxN]float64
+	var vecs [maxN * maxN]float64
+	SymEigen(gram, vals[:n], vecs[:n*n])
 	for r := 0; r < n; r++ {
-		out[r] = vecs.At(r, n-1) // column of the smallest eigenvalue
+		x[r] = vecs[r*n+n-1] // column of the smallest eigenvalue
 	}
-	return out
 }
 
 // SVD3 computes the singular value decomposition A = U * diag(s) * V^T of a
@@ -112,31 +108,35 @@ func NullVector(a *Dense) []float64 {
 // orthogonal matrices in row-major order. It is used to decompose the
 // essential matrix (Eq. 2) and to enforce rank-2 on fundamental estimates.
 func SVD3(a [9]float64) (u [9]float64, s [3]float64, v [9]float64) {
-	am := FromRows([][]float64{
-		{a[0], a[1], a[2]},
-		{a[3], a[4], a[5]},
-		{a[6], a[7], a[8]},
-	})
 	// Eigen of A^T A gives V and s^2.
-	gram := am.TransposeMul()
-	vals, vecs := SymEigen(gram)
+	var gram [9]float64
+	for r := 0; r < 3; r++ {
+		AddGramRow(gram[:], a[3*r:3*r+3])
+	}
+	MirrorUpper(gram[:], 3)
+	var vals [3]float64
+	SymEigen(gram[:], vals[:], v[:])
 	for i := 0; i < 3; i++ {
 		s[i] = math.Sqrt(math.Max(0, vals[i]))
-		for r := 0; r < 3; r++ {
-			v[r*3+i] = vecs.At(r, i)
-		}
 	}
 	// U columns: A*v_i / s_i; fall back to completing an orthonormal basis
 	// for vanishing singular values.
 	var ucols [3][3]float64
 	for i := 0; i < 3; i++ {
-		col := am.MulVec([]float64{v[i], v[3+i], v[6+i]})
-		norm := math.Sqrt(col[0]*col[0] + col[1]*col[1] + col[2]*col[2])
+		var col [3]float64
+		for r := 0; r < 3; r++ {
+			sum := 0.0
+			for c := 0; c < 3; c++ {
+				sum += float64(a[3*r+c] * v[3*c+i])
+			}
+			col[r] = sum
+		}
+		norm := math.Sqrt(dot3(col, col))
 		if s[i] > 1e-12 && norm > 1e-12 {
 			ucols[i] = [3]float64{col[0] / norm, col[1] / norm, col[2] / norm}
 		}
 	}
-	completeBasis(&ucols, s)
+	completeBasis(&ucols)
 	for i := 0; i < 3; i++ {
 		for r := 0; r < 3; r++ {
 			u[r*3+i] = ucols[i][r]
@@ -145,27 +145,30 @@ func SVD3(a [9]float64) (u [9]float64, s [3]float64, v [9]float64) {
 	return u, s, v
 }
 
+// dot3 is the dot product of two 3-vectors.
+func dot3(a, b [3]float64) float64 {
+	return float64(a[0]*b[0]) + float64(a[1]*b[1]) + float64(a[2]*b[2])
+}
+
 // completeBasis fills in any unset columns (those with vanishing singular
 // values) so that the three columns form an orthonormal basis. Candidate
 // directions are Gram-Schmidt orthogonalized against every column already
 // set, so the routine works for any rank deficiency (0, 1 or 2 set columns).
-func completeBasis(cols *[3][3]float64, _ [3]float64) {
-	norm := func(v [3]float64) float64 {
-		return math.Sqrt(v[0]*v[0] + v[1]*v[1] + v[2]*v[2])
-	}
+func completeBasis(cols *[3][3]float64) {
+	norm := func(v [3]float64) float64 { return math.Sqrt(dot3(v, v)) }
 	for i := 0; i < 3; i++ {
 		if norm(cols[i]) > 0.5 {
 			continue
 		}
-		for _, cand := range [][3]float64{{1, 0, 0}, {0, 1, 0}, {0, 0, 1}} {
+		for _, cand := range [...][3]float64{{1, 0, 0}, {0, 1, 0}, {0, 0, 1}} {
 			// Orthogonalize against all set columns.
 			for j := 0; j < 3; j++ {
 				if j == i || norm(cols[j]) < 0.5 {
 					continue
 				}
-				dot := cand[0]*cols[j][0] + cand[1]*cols[j][1] + cand[2]*cols[j][2]
+				dot := dot3(cand, cols[j])
 				for k := 0; k < 3; k++ {
-					cand[k] -= dot * cols[j][k]
+					cand[k] -= float64(dot * cols[j][k])
 				}
 			}
 			if n := norm(cand); n > 1e-6 {

@@ -6,25 +6,47 @@ import (
 	"testing"
 )
 
+// gram returns A^T*A for the row-major rows x n matrix a, accumulated the
+// way every caller builds its normal equations.
+func gram(a []float64, n int) []float64 {
+	g := make([]float64, n*n)
+	for r := 0; r+n <= len(a); r += n {
+		AddGramRow(g, a[r:r+n])
+	}
+	MirrorUpper(g, n)
+	return g
+}
+
+// mulVec returns the product of the row-major matrix a (len(x) columns) and x.
+func mulVec(a, x []float64) []float64 {
+	n := len(x)
+	out := make([]float64, len(a)/n)
+	for r := range out {
+		for c, v := range x {
+			out[r] += a[r*n+c] * v
+		}
+	}
+	return out
+}
+
 func TestSolveCholeskySPD(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 50; trial++ {
-		n := 2 + rng.Intn(5)
 		// Build SPD matrix as J^T J + small diagonal.
-		j := NewDense(n+2, n)
-		for i := range j.Data {
-			j.Data[i] = rng.NormFloat64()
+		j := make([]float64, 8*6)
+		for i := range j {
+			j[i] = rng.NormFloat64()
 		}
-		a := j.TransposeMul()
-		for i := 0; i < n; i++ {
-			a.Add(i, i, 0.1)
+		var a [36]float64
+		copy(a[:], gram(j, 6))
+		for i := 0; i < 6; i++ {
+			a[i*6+i] += 0.1
 		}
-		xTrue := make([]float64, n)
+		xTrue := make([]float64, 6)
 		for i := range xTrue {
 			xTrue[i] = rng.NormFloat64()
 		}
-		b := a.MulVec(xTrue)
-		x, err := SolveCholesky(a, b, 0)
+		x, err := SolveCholesky(&a, [6]float64(mulVec(a[:], xTrue)), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -36,54 +58,60 @@ func TestSolveCholeskySPD(t *testing.T) {
 	}
 }
 
+// embed returns the 6x6 identity with its top-left 2x2 block replaced.
+func embed(a00, a01, a10, a11 float64) *[36]float64 {
+	var a [36]float64
+	for i := 0; i < 6; i++ {
+		a[i*6+i] = 1
+	}
+	a[0], a[1], a[6], a[7] = a00, a01, a10, a11
+	return &a
+}
+
 func TestSolveCholeskyRejectsIndefinite(t *testing.T) {
-	a := FromRows([][]float64{
-		{1, 0},
-		{0, -1},
-	})
-	if _, err := SolveCholesky(a, []float64{1, 1}, 0); err == nil {
+	a := embed(1, 0, 0, -1)
+	if _, err := SolveCholesky(a, [6]float64{1, 1}, 0); err == nil {
 		t.Error("expected failure on indefinite matrix")
 	}
 }
 
 func TestSolveCholeskyDamping(t *testing.T) {
 	// Singular matrix becomes solvable with damping.
-	a := FromRows([][]float64{
-		{1, 1},
-		{1, 1},
-	})
-	if _, err := SolveCholesky(a, []float64{1, 1}, 0); err == nil {
+	a := embed(1, 1, 1, 1)
+	if _, err := SolveCholesky(a, [6]float64{1, 1}, 0); err == nil {
 		t.Error("expected failure without damping")
 	}
-	if _, err := SolveCholesky(a, []float64{1, 1}, 0.5); err != nil {
+	before := *a
+	if _, err := SolveCholesky(a, [6]float64{1, 1}, 0.5); err != nil {
 		t.Errorf("expected success with damping: %v", err)
+	}
+	if *a != before {
+		t.Error("SolveCholesky modified its input")
 	}
 }
 
-func TestTransposeMul(t *testing.T) {
-	a := FromRows([][]float64{
-		{1, 2},
-		{3, 4},
-		{5, 6},
-	})
-	g := a.TransposeMul()
-	want := [][]float64{{35, 44}, {44, 56}}
-	for i := 0; i < 2; i++ {
-		for j := 0; j < 2; j++ {
-			if math.Abs(g.At(i, j)-want[i][j]) > 1e-12 {
-				t.Errorf("g[%d][%d] = %v, want %v", i, j, g.At(i, j), want[i][j])
-			}
+func TestAddGramRow(t *testing.T) {
+	g := gram([]float64{
+		1, 2,
+		3, 4,
+		5, 6,
+	}, 2)
+	want := []float64{35, 44, 44, 56}
+	for i := range want {
+		if math.Abs(g[i]-want[i]) > 1e-12 {
+			t.Errorf("g[%d] = %v, want %v", i, g[i], want[i])
 		}
 	}
 }
 
 func TestSymEigenDiagonal(t *testing.T) {
-	a := FromRows([][]float64{
-		{3, 0, 0},
-		{0, 1, 0},
-		{0, 0, 2},
-	})
-	vals, _ := SymEigen(a)
+	a := []float64{
+		3, 0, 0,
+		0, 1, 0,
+		0, 0, 2,
+	}
+	vals := make([]float64, 3)
+	SymEigen(a, vals, make([]float64, 9))
 	want := []float64{3, 2, 1}
 	for i := range want {
 		if math.Abs(vals[i]-want[i]) > 1e-9 {
@@ -92,23 +120,47 @@ func TestSymEigenDiagonal(t *testing.T) {
 	}
 }
 
+// TestSymEigenTiesKeepDiagonalOrder pins the stable eigenpair sort: equal
+// eigenvalues keep the order of their diagonal entries, as sort.Slice's
+// insertion sort kept them at these sizes.
+func TestSymEigenTiesKeepDiagonalOrder(t *testing.T) {
+	a := []float64{
+		1, 0, 0,
+		0, 2, 0,
+		0, 0, 2,
+	}
+	vals, vecs := make([]float64, 3), make([]float64, 9)
+	SymEigen(a, vals, vecs)
+	want := []float64{
+		0, 0, 1,
+		1, 0, 0,
+		0, 1, 0,
+	}
+	for i := range want {
+		if vecs[i] != want[i] {
+			t.Fatalf("eigenvectors %v, want %v (columns e1, e2, e0)", vecs, want)
+		}
+	}
+}
+
 func TestSymEigenReconstruction(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 20; trial++ {
 		n := 2 + rng.Intn(8)
-		j := NewDense(n, n)
-		for i := range j.Data {
-			j.Data[i] = rng.NormFloat64()
+		j := make([]float64, n*n)
+		for i := range j {
+			j[i] = rng.NormFloat64()
 		}
-		a := j.TransposeMul() // symmetric
-		vals, vecs := SymEigen(a)
+		a := gram(j, n) // symmetric
+		vals, vecs := make([]float64, n), make([]float64, n*n)
+		SymEigen(a, vals, vecs)
 		// Check A*v_i = lambda_i * v_i for each eigenpair.
 		for i := 0; i < n; i++ {
 			v := make([]float64, n)
 			for r := 0; r < n; r++ {
-				v[r] = vecs.At(r, i)
+				v[r] = vecs[r*n+i]
 			}
-			av := a.MulVec(v)
+			av := mulVec(a, v)
 			for r := 0; r < n; r++ {
 				if math.Abs(av[r]-vals[i]*v[r]) > 1e-6*math.Max(1, math.Abs(vals[i])) {
 					t.Fatalf("trial %d: eigenpair %d violated at row %d", trial, i, r)
@@ -126,15 +178,15 @@ func TestSymEigenReconstruction(t *testing.T) {
 
 func TestNullVector(t *testing.T) {
 	// Rows are orthogonal to (1, -2, 1)/sqrt(6).
-	a := FromRows([][]float64{
-		{1, 1, 1},
-		{2, 1, 0},
-		{3, 2, 1},
-		{4, 3, 2},
-	})
-	x := NullVector(a)
-	res := a.MulVec(x)
-	for i, r := range res {
+	a := []float64{
+		1, 1, 1,
+		2, 1, 0,
+		3, 2, 1,
+		4, 3, 2,
+	}
+	x := make([]float64, 3)
+	NullVector(gram(a, 3), x)
+	for i, r := range mulVec(a, x) {
 		if math.Abs(r) > 1e-8 {
 			t.Errorf("residual[%d] = %v", i, r)
 		}
@@ -209,11 +261,29 @@ func TestSVD3RankDeficient(t *testing.T) {
 	}
 }
 
-func TestFromRowsPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic on ragged rows")
-		}
-	}()
-	FromRows([][]float64{{1, 2}, {3}})
+func TestKernelsDoNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	a := [9]float64{2, 1, 0, 1, 3, 1, 0, 1, 4}
+	var sink float64
+	if n := testing.AllocsPerRun(100, func() {
+		_, s, _ := SVD3(a)
+		sink += s[0]
+	}); n != 0 {
+		t.Errorf("SVD3 allocates %v times per call, want 0", n)
+	}
+	g := gram([]float64{1, 1, 1, 2, 1, 0, 3, 2, 1, 4, 3, 2}, 3)
+	x := make([]float64, 3)
+	if n := testing.AllocsPerRun(100, func() { NullVector(g, x) }); n != 0 {
+		t.Errorf("NullVector allocates %v times per call, want 0", n)
+	}
+	spd := embed(4, 1, 1, 3)
+	if n := testing.AllocsPerRun(100, func() {
+		x, _ := SolveCholesky(spd, [6]float64{1, 2, 3, 4, 5, 6}, 1e-4)
+		sink += x[0]
+	}); n != 0 {
+		t.Errorf("SolveCholesky allocates %v times per call, want 0", n)
+	}
+	_ = sink
 }

@@ -365,8 +365,8 @@ func (p *Predictor) selectSource(sys *vo.System, instanceID int, cur *vo.FrameRe
 		rec   *vo.FrameRecord
 		angle float64
 	}
-	var best *candidate
-	better := func(a, b *candidate) bool {
+	var best candidate
+	better := func(a, b candidate) bool {
 		// Edge masks beat transferred masks; then recency wins with the
 		// view angle as tiebreak. Pose error accumulates with source age,
 		// so a fresh mask from a slightly worse viewpoint transfers better
@@ -388,13 +388,10 @@ func (p *Predictor) selectSource(sys *vo.System, instanceID int, cur *vo.FrameRe
 		if angle > p.cfg.MaxViewAngle {
 			continue
 		}
-		cand := &candidate{cm: cm, rec: rec, angle: angle}
-		if best == nil || better(cand, best) {
+		cand := candidate{cm: cm, rec: rec, angle: angle}
+		if best.cm == nil || better(cand, best) {
 			best = cand
 		}
-	}
-	if best == nil {
-		return nil, nil
 	}
 	return best.cm, best.rec
 }
@@ -421,22 +418,41 @@ func (p *Predictor) contourDepth(s geom.Vec2, feats []depthFeat) (float64, bool)
 	if k > len(feats) {
 		k = len(feats)
 	}
+	// Keep the k nearest so far, nearest first, by insertion. A feature
+	// that ties a kept distance goes after it, so among equals the earlier
+	// feature wins, as under a stable sort.
 	type scored struct {
 		dist  float64
 		depth float64
 	}
-	ds := make([]scored, 0, len(feats))
+	var buf [16]scored
+	best := buf[:0]
+	if k > len(buf) {
+		best = make([]scored, 0, k)
+	}
 	for _, f := range feats {
 		d := f.px.DistTo(s)
 		if f.edge {
 			d *= 0.7
 		}
-		ds = append(ds, scored{dist: d, depth: f.depth})
+		n := len(best)
+		if n == k {
+			if !(d < best[k-1].dist) {
+				continue
+			}
+			n--
+		} else {
+			best = best[:n+1]
+		}
+		for n > 0 && best[n-1].dist > d {
+			best[n] = best[n-1]
+			n--
+		}
+		best[n] = scored{dist: d, depth: f.depth}
 	}
-	sort.Slice(ds, func(i, j int) bool { return ds[i].dist < ds[j].dist })
 	sum := 0.0
-	for i := 0; i < k; i++ {
-		sum += ds[i].depth
+	for _, b := range best {
+		sum += b.depth
 	}
 	return sum / float64(k), true
 }

@@ -1,6 +1,9 @@
 package transfer
 
 import (
+	"math"
+	"math/rand"
+	"sort"
 	"testing"
 
 	"edgeis/internal/feature"
@@ -398,5 +401,94 @@ func TestPredictorConfigDefaults(t *testing.T) {
 	}
 	if p.cfg.MaxViewAngle != 0.5 || p.cfg.MaxContourPoints != 160 {
 		t.Errorf("defaults = %+v", p.cfg)
+	}
+}
+
+// contourDepthOracle is the reference contourDepth: score every feature,
+// stable-sort by distance, average the first k depths.
+func contourDepthOracle(k int, s geom.Vec2, feats []depthFeat) (float64, bool) {
+	if len(feats) == 0 {
+		return 0, false
+	}
+	k = min(k, len(feats))
+	type scored struct{ dist, depth float64 }
+	ds := make([]scored, 0, len(feats))
+	for _, f := range feats {
+		d := f.px.DistTo(s)
+		if f.edge {
+			d *= 0.7
+		}
+		ds = append(ds, scored{d, f.depth})
+	}
+	sort.SliceStable(ds, func(i, j int) bool { return ds[i].dist < ds[j].dist })
+	sum := 0.0
+	for _, d := range ds[:k] {
+		sum += d.depth
+	}
+	return sum / float64(k), true
+}
+
+// TestContourDepthMatchesSortOracle checks the selection against the
+// stable-sort reference, bit for bit, over random feature sets, every k from
+// 1 to len(feats) (past the 16 kept on the stack), edge-weighted features
+// and exact-tie distances.
+func TestContourDepthMatchesSortOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(40)
+		feats := make([]depthFeat, n)
+		for i := range feats {
+			feats[i] = depthFeat{
+				px:    geom.V2(rng.Float64()*64, rng.Float64()*64),
+				depth: 1 + rng.Float64()*20,
+				edge:  rng.Intn(3) == 0,
+			}
+			if trial%2 == 1 {
+				// Integer pixels on a small grid: many exact ties.
+				feats[i].px = geom.V2(float64(rng.Intn(5)), float64(rng.Intn(5)))
+			}
+		}
+		s := geom.V2(float64(rng.Intn(5)), float64(rng.Intn(5)))
+		for k := 1; k <= n; k++ {
+			p := NewPredictor(geom.StandardCamera(64, 64), Config{K: k})
+			got, ok := p.contourDepth(s, feats)
+			want, _ := contourDepthOracle(k, s, feats)
+			if !ok || math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("trial %d, n=%d, k=%d: depth %v, oracle %v", trial, n, k, got, want)
+			}
+		}
+	}
+}
+
+// TestContourDepthTieKeepsEarlierFeature pins the tie rule: of two features
+// at the same distance, the earlier one is among the k nearest.
+func TestContourDepthTieKeepsEarlierFeature(t *testing.T) {
+	p := NewPredictor(geom.StandardCamera(64, 64), Config{K: 1})
+	s := geom.V2(10, 10)
+	tied := []depthFeat{
+		{px: geom.V2(13, 10), depth: 7},
+		{px: geom.V2(10, 7), depth: 9},  // same distance, later
+		{px: geom.V2(7, 10), depth: 11}, // same distance, later still
+	}
+	if d, _ := p.contourDepth(s, tied); d != 7 {
+		t.Errorf("k=1 over three tied features: depth %v, want the first one's 7", d)
+	}
+	p2 := NewPredictor(geom.StandardCamera(64, 64), Config{K: 2})
+	if d, _ := p2.contourDepth(s, tied); d != 8 {
+		t.Errorf("k=2 over three tied features: depth %v, want mean(7, 9) = 8", d)
+	}
+}
+
+func TestContourDepthDoesNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	feats := make([]depthFeat, 50)
+	for i := range feats {
+		feats[i] = depthFeat{px: geom.V2(float64(i), float64(i%7)), depth: float64(i + 1)}
+	}
+	p := NewPredictor(geom.StandardCamera(64, 64), Config{})
+	if n := testing.AllocsPerRun(100, func() { p.contourDepth(geom.V2(3, 3), feats) }); n != 0 {
+		t.Errorf("contourDepth allocates %v times per call at k=%d, want 0", n, p.cfg.K)
 	}
 }

@@ -60,8 +60,10 @@ func OptimizePose(cam geom.Camera, obs []Observation, init geom.Pose, iterations
 
 	prevCost := cost(pose)
 	for it := 0; it < iterations; it++ {
-		h := linalg.NewDense(6, 6)
-		b := make([]float64, 6)
+		// Normal equations H*delta = b, accumulated upper triangle first
+		// and then mirrored, with every product rounded before its sum.
+		var h [36]float64
+		var b [6]float64
 		for _, o := range obs {
 			pc := pose.Apply(o.Point)
 			if pc.Z <= 1e-6 {
@@ -73,7 +75,7 @@ func OptimizePose(cam geom.Camera, obs []Observation, init geom.Pose, iterations
 			}
 			rx := px.X - o.Pixel.X
 			ry := px.Y - o.Pixel.Y
-			w := huberWeight(rx*rx + ry*ry)
+			w := huberWeight(float64(rx*rx) + float64(ry*ry))
 
 			// Jacobian of pixel wrt left-multiplied se(3) increment:
 			// d(u,v)/d(pc) * [I | -pc^].
@@ -90,26 +92,21 @@ func OptimizePose(cam geom.Camera, obs []Observation, init geom.Pose, iterations
 			for c := 0; c < 3; c++ {
 				var su, sv float64
 				for k := 0; k < 3; k++ {
-					su += du[k] * sk.At(k, c)
-					sv += dv[k] * sk.At(k, c)
+					su += float64(du[k] * sk.At(k, c))
+					sv += float64(dv[k] * sk.At(k, c))
 				}
 				ju[3+c] = -su
 				jv[3+c] = -sv
 			}
 			for i := 0; i < 6; i++ {
 				for j := i; j < 6; j++ {
-					h.Add(i, j, w*(ju[i]*ju[j]+jv[i]*jv[j]))
+					h[i*6+j] += float64(w * (float64(ju[i]*ju[j]) + float64(jv[i]*jv[j])))
 				}
-				b[i] -= w * (ju[i]*rx + jv[i]*ry)
+				b[i] -= float64(w * (float64(ju[i]*rx) + float64(jv[i]*ry)))
 			}
 		}
-		// Mirror upper to lower triangle.
-		for i := 0; i < 6; i++ {
-			for j := 0; j < i; j++ {
-				h.Set(i, j, h.At(j, i))
-			}
-		}
-		delta, err := linalg.SolveCholesky(h, b, lambda)
+		linalg.MirrorUpper(h[:], 6)
+		delta, err := linalg.SolveCholesky(&h, b, lambda)
 		if err != nil {
 			lambda *= 10
 			if lambda > 1e3 {
@@ -168,7 +165,7 @@ func huberLoss(r2 float64) float64 {
 		return r2
 	}
 	r := math.Sqrt(r2)
-	return 2*huberDelta*r - huberDelta*huberDelta
+	return float64(2*huberDelta*r) - huberDelta*huberDelta
 }
 
 // huberWeight returns the IRLS weight for a squared residual.
@@ -179,10 +176,10 @@ func huberWeight(r2 float64) float64 {
 	return huberDelta / math.Sqrt(r2)
 }
 
-func normSq(v []float64) float64 {
+func normSq(v [6]float64) float64 {
 	s := 0.0
 	for _, x := range v {
-		s += x * x
+		s += float64(x * x)
 	}
 	return s
 }

@@ -131,3 +131,30 @@ func TestHuberLossAndWeight(t *testing.T) {
 		t.Error("loss discontinuous at Huber boundary")
 	}
 }
+
+// TestPoseAndTriangulationDoNotAllocate pins the allocation-free VO
+// kernels: a pose solve and both triangulations run on fixed-size arrays.
+func TestPoseAndTriangulationDoNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	rng := rand.New(rand.NewSource(7))
+	cam := geom.StandardCamera(640, 480)
+	truth := gtPose()
+	obs := synthObservations(rng, 50, truth, cam, 0.3)
+	init := geom.Pose{R: geom.RotY(0.05).Mul(truth.R), T: truth.T.Add(geom.V3(0.2, 0.1, -0.15))}
+	if n := testing.AllocsPerRun(20, func() { _, _ = OptimizePose(cam, obs, init, 10) }); n != 0 {
+		t.Errorf("OptimizePose allocates %v times per call, want 0", n)
+	}
+
+	_, rel, corr, _ := synthTwoView(rng, 1, 0)
+	c := corr[0]
+	if n := testing.AllocsPerRun(100, func() { _, _ = TriangulatePoint(cam, geom.IdentityPose(), rel, c.P0, c.P1) }); n != 0 {
+		t.Errorf("TriangulatePoint allocates %v times per call, want 0", n)
+	}
+	views := []View{NewView(cam, geom.IdentityPose()), NewView(cam, rel)}
+	px := []ViewPixel{{0, c.P0}, {1, c.P1}}
+	if n := testing.AllocsPerRun(100, func() { _, _ = TriangulatePointMulti(views, px) }); n != 0 {
+		t.Errorf("TriangulatePointMulti allocates %v times per call, want 0", n)
+	}
+}

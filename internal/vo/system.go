@@ -210,6 +210,40 @@ type System struct {
 	// posSnapshots is a ring of per-frame {point ID -> position} maps used
 	// to measure structure drift over the moving-detection window.
 	posSnapshots []map[int]geom.Vec3
+
+	ba baArena
+}
+
+// baArena is localBundleAdjustment's scratch, reused from call to call so
+// that a sweep allocates nothing once the window has been seen.
+type baArena struct {
+	recs  []*FrameRecord // window frames, oldest first
+	views []View         // one per window frame, rebuilt each sweep
+	// slotOf maps a point ID to its slot; slots are in first-seen order.
+	slotOf map[int]int
+	slots  []baSlot
+	obs    []Observation // one window frame's resection observations
+}
+
+// baSlot holds one point's observations in the window.
+type baSlot struct {
+	pid int
+	obs []ViewPixel
+}
+
+// newSlot appends an empty slot for pid, reusing the storage the slot at
+// that position held in an earlier sweep.
+func (a *baArena) newSlot(pid int) int {
+	n := len(a.slots)
+	if n < cap(a.slots) {
+		a.slots = a.slots[:n+1]
+	} else {
+		a.slots = append(a.slots, baSlot{})
+	}
+	a.slots[n].pid = pid
+	a.slots[n].obs = a.slots[n].obs[:0]
+	a.slotOf[pid] = n
+	return n
 }
 
 type pendingInit struct {
@@ -228,6 +262,7 @@ func NewSystem(cfg Config) *System {
 		frames:       make(map[int]*FrameRecord),
 		instances:    make(map[int]*InstanceTrack),
 		nextInstance: 1,
+		ba:           baArena{slotOf: make(map[int]int)},
 	}
 }
 
@@ -869,7 +904,7 @@ func (s *System) track(idx int, kps []Keypoint) Status {
 	s.world.Cleanup(s.cfg.Cleanup, idx)
 	s.storeFrame(rec)
 	s.cur = rec
-	s.localBundleAdjustment(rec)
+	s.localBundleAdjustment()
 
 	// Snapshot the matched points' positions (after the local BA sweep) for
 	// the differential drift statistic of the motion detector.
@@ -896,7 +931,7 @@ func (s *System) track(idx int, kps []Keypoint) Status {
 // window poses are re-solved against the updated structure (resection).
 // Points of moving instances are handled in their object frame using the
 // per-frame object poses.
-func (s *System) localBundleAdjustment(cur *FrameRecord) {
+func (s *System) localBundleAdjustment() {
 	const (
 		window = 10
 		sweeps = 2
@@ -908,24 +943,29 @@ func (s *System) localBundleAdjustment(cur *FrameRecord) {
 	if start < 0 {
 		start = 0
 	}
-	recs := make([]*FrameRecord, 0, window)
+	ba := &s.ba
+	recs := ba.recs[:0]
 	for _, idx := range s.frameOrder[start:] {
 		if r := s.frames[idx]; r != nil {
 			recs = append(recs, r)
 		}
 	}
+	ba.recs = recs
 	if len(recs) < 3 {
 		return
 	}
 
-	type obsSet struct {
-		poses  []geom.Pose
-		pixels []geom.Vec2
-	}
 	for sweep := 0; sweep < sweeps; sweep++ {
-		// Intersection: multi-view re-triangulation.
-		pointObs := make(map[int]*obsSet)
+		// Intersection: multi-view re-triangulation. Each window frame's
+		// view is built once per sweep; each point's observations go to its
+		// slot, slots in first-seen order.
+		ba.views = ba.views[:0]
 		for _, rec := range recs {
+			ba.views = append(ba.views, NewView(s.cfg.Camera, rec.TCW))
+		}
+		clear(ba.slotOf)
+		ba.slots = ba.slots[:0]
+		for wi, rec := range recs {
 			for i, pid := range rec.PointIDs {
 				if pid == 0 {
 					continue
@@ -940,42 +980,42 @@ func (s *System) localBundleAdjustment(cur *FrameRecord) {
 				// motion), and re-triangulating under the free-floating
 				// object poses has an unconstrained gauge that drifts.
 				// Their per-frame T_CO keeps fitting the frozen structure.
-				pose := rec.TCW
 				if mp.InstanceID > 0 {
 					if inst := s.instances[mp.InstanceID]; inst != nil && inst.Moving {
 						continue
 					}
 				}
-				os := pointObs[pid]
-				if os == nil {
-					os = &obsSet{}
-					pointObs[pid] = os
+				slot, ok := ba.slotOf[pid]
+				if !ok {
+					slot = ba.newSlot(pid)
 				}
-				os.poses = append(os.poses, pose)
-				os.pixels = append(os.pixels, rec.Keypoints[i].Pixel)
+				ba.slots[slot].obs = append(ba.slots[slot].obs, ViewPixel{View: wi, Pixel: rec.Keypoints[i].Pixel})
 			}
 		}
-		//edgeis:ordered each pid refines its own point from its own observations; no cross-entry state
-		for pid, os := range pointObs {
-			if len(os.poses) < 2 {
+		// Each point refines from its own observations only, so the slot
+		// order cannot change the result.
+		for _, sl := range ba.slots {
+			obs := sl.obs
+			if len(obs) < 2 {
 				continue
 			}
 			// Require enough parallax across the window for a stable fix.
 			maxPar := 0.0
-			for i := 1; i < len(os.pixels); i++ {
-				if d := os.pixels[i].DistTo(os.pixels[0]); d > maxPar {
+			for i := 1; i < len(obs); i++ {
+				if d := obs[i].Pixel.DistTo(obs[0].Pixel); d > maxPar {
 					maxPar = d
 				}
 			}
 			if maxPar < 2 {
 				continue
 			}
-			pos, err := TriangulatePointMulti(s.cfg.Camera, os.poses, os.pixels)
+			pos, err := TriangulatePointMulti(ba.views, obs)
 			if err != nil {
 				continue
 			}
-			mp := s.world.ByID(pid)
-			d := os.poses[len(os.poses)-1].Apply(pos).Z
+			mp := s.world.ByID(sl.pid)
+			last := ba.views[obs[len(obs)-1].View].Pose
+			d := last.Apply(pos).Z
 			if d <= 0.05 || d > 1e4 {
 				continue
 			}
@@ -984,7 +1024,7 @@ func (s *System) localBundleAdjustment(cur *FrameRecord) {
 			// the camera pushes its triangulation toward infinity (rays
 			// turn parallel), which would hide the motion from the
 			// detector behind a receding-but-consistent structure.
-			oldD := os.poses[len(os.poses)-1].Apply(mp.Pos).Z
+			oldD := last.Apply(mp.Pos).Z
 			if mp.RefinedCount > 0 && oldD > 0 && (d > 1.5*oldD || d < oldD/1.5) {
 				continue
 			}
@@ -995,7 +1035,7 @@ func (s *System) localBundleAdjustment(cur *FrameRecord) {
 		// Resection: re-solve all but the two oldest window poses.
 		for k := 2; k < len(recs); k++ {
 			rec := recs[k]
-			obs := make([]Observation, 0, len(rec.PointIDs))
+			obs := ba.obs[:0]
 			for i, pid := range rec.PointIDs {
 				if pid == 0 {
 					continue
@@ -1006,12 +1046,12 @@ func (s *System) localBundleAdjustment(cur *FrameRecord) {
 				}
 				obs = append(obs, Observation{Point: mp.Pos, Pixel: rec.Keypoints[i].Pixel})
 			}
+			ba.obs = obs
 			if res, err := OptimizePose(s.cfg.Camera, obs, rec.TCW, 5); err == nil {
 				rec.TCW = res.Pose
 			}
 		}
 	}
-	_ = cur
 }
 
 // updateMotionState decides whether an instance is moving by comparing the
@@ -1357,8 +1397,8 @@ func AlignScale(a, b []geom.Pose) float64 {
 	for i := range a {
 		da := a[i].CameraCenter().Sub(ca).Norm()
 		db := b[i].CameraCenter().Sub(cb).Norm()
-		num += da * db
-		den += da * da
+		num += float64(da * db)
+		den += float64(da * da)
 	}
 	if den < 1e-12 {
 		return 1

@@ -69,31 +69,28 @@ func eightPoint(corr []Correspondence) (geom.Mat3, error) {
 	t0 := normalization(p0s)
 	t1 := normalization(p1s)
 
-	a := linalg.NewDense(len(corr), 9)
-	for i, c := range corr {
+	var g [81]float64
+	for _, c := range corr {
 		q0 := t0.MulVec(geom.V3(c.P0.X, c.P0.Y, 1))
 		q1 := t1.MulVec(geom.V3(c.P1.X, c.P1.Y, 1))
 		// Row: kron(q1, q0) for q1^T F q0 = 0.
-		a.Set(i, 0, q1.X*q0.X)
-		a.Set(i, 1, q1.X*q0.Y)
-		a.Set(i, 2, q1.X)
-		a.Set(i, 3, q1.Y*q0.X)
-		a.Set(i, 4, q1.Y*q0.Y)
-		a.Set(i, 5, q1.Y)
-		a.Set(i, 6, q0.X)
-		a.Set(i, 7, q0.Y)
-		a.Set(i, 8, 1)
+		row := [9]float64{
+			q1.X * q0.X, q1.X * q0.Y, q1.X,
+			q1.Y * q0.X, q1.Y * q0.Y, q1.Y,
+			q0.X, q0.Y, 1,
+		}
+		linalg.AddGramRow(g[:], row[:])
 	}
-	f := linalg.NullVector(a)
+	linalg.MirrorUpper(g[:], 9)
 	var fn geom.Mat3
-	copy(fn[:], f)
+	linalg.NullVector(g[:], fn[:])
 
 	// Enforce rank 2 by zeroing the smallest singular value.
 	u, s, v := linalg.SVD3([9]float64(fn))
 	var f2 geom.Mat3
 	for r := 0; r < 3; r++ {
 		for c := 0; c < 3; c++ {
-			f2[3*r+c] = u[3*r]*s[0]*v[3*c] + u[3*r+1]*s[1]*v[3*c+1]
+			f2[3*r+c] = float64(u[3*r]*s[0]*v[3*c]) + float64(u[3*r+1]*s[1]*v[3*c+1])
 		}
 	}
 	// Denormalize: F = T1^T f2 T0.
@@ -109,8 +106,8 @@ func epipolarError(f geom.Mat3, c Correspondence) float64 {
 	l1 := f.MulVec(x0)             // epipolar line in image 1
 	l0 := f.Transpose().MulVec(x1) // epipolar line in image 0
 	num := x1.Dot(l1)
-	d1 := num * num / math.Max(l1.X*l1.X+l1.Y*l1.Y, 1e-12)
-	d0 := num * num / math.Max(l0.X*l0.X+l0.Y*l0.Y, 1e-12)
+	d1 := num * num / math.Max(float64(l1.X*l1.X)+float64(l1.Y*l1.Y), 1e-12)
+	d0 := num * num / math.Max(float64(l0.X*l0.X)+float64(l0.Y*l0.Y), 1e-12)
 	return math.Sqrt(d0) + math.Sqrt(d1)
 }
 
@@ -248,41 +245,64 @@ func RecoverPose(f geom.Mat3, cam geom.Camera, corr []Correspondence) (geom.Pose
 	return best, nil
 }
 
-// TriangulatePoint linearly triangulates a 3-D point (in the coordinate
-// frame of pose0's source) from two observations with known poses — the
-// workhorse behind Eq. 3 and all map expansion.
-func TriangulatePoint(cam geom.Camera, pose0, pose1 geom.Pose, p0, p1 geom.Vec2) (geom.Vec3, error) {
-	// Rows of P = K [R | t] for both views.
+// View is one camera of a triangulation: its pose and its projection
+// matrix K[R|t].
+type View struct {
+	Pose geom.Pose
+	P    [3][4]float64
+}
+
+// NewView builds the view of a camera at pose.
+func NewView(cam geom.Camera, pose geom.Pose) View {
 	k := cam.K()
-	build := func(pose geom.Pose) [3][4]float64 {
-		m := k.Mul(pose.R)
-		kt := k.MulVec(pose.T)
-		return [3][4]float64{
-			{m[0], m[1], m[2], kt.X},
-			{m[3], m[4], m[5], kt.Y},
-			{m[6], m[7], m[8], kt.Z},
-		}
-	}
-	m0 := build(pose0)
-	m1 := build(pose1)
+	m := k.Mul(pose.R)
+	kt := k.MulVec(pose.T)
+	return View{Pose: pose, P: [3][4]float64{
+		{m[0], m[1], m[2], kt.X},
+		{m[3], m[4], m[5], kt.Y},
+		{m[6], m[7], m[8], kt.Z},
+	}}
+}
 
-	a := linalg.NewDense(4, 4)
-	fill := func(row int, m [3][4]float64, px geom.Vec2) {
-		for c := 0; c < 4; c++ {
-			a.Set(row, c, px.X*m[2][c]-m[0][c])
-			a.Set(row+1, c, px.Y*m[2][c]-m[1][c])
-		}
+// addDLTRows accumulates the two DLT rows of one observation, u*P3 - P1 and
+// v*P3 - P2, into the 4x4 Gram matrix g.
+func addDLTRows(g *[16]float64, p *[3][4]float64, px geom.Vec2) {
+	var ru, rv [4]float64
+	for c := 0; c < 4; c++ {
+		ru[c] = float64(px.X*p[2][c]) - p[0][c]
+		rv[c] = float64(px.Y*p[2][c]) - p[1][c]
 	}
-	fill(0, m0, p0)
-	fill(2, m1, p1)
+	linalg.AddGramRow(g[:], ru[:])
+	linalg.AddGramRow(g[:], rv[:])
+}
 
-	h := linalg.NullVector(a)
+// solveDLT returns the point whose homogeneous coordinates span the null
+// space of the DLT system with Gram matrix g (upper triangle filled).
+func solveDLT(g *[16]float64) (geom.Vec3, error) {
+	linalg.MirrorUpper(g[:], 4)
+	var h [4]float64
+	linalg.NullVector(g[:], h[:])
 	if math.Abs(h[3]) < 1e-12 {
 		return geom.Vec3{}, ErrDegenerate
 	}
 	p := geom.V3(h[0]/h[3], h[1]/h[3], h[2]/h[3])
 	if !p.IsFinite() {
 		return geom.Vec3{}, ErrDegenerate
+	}
+	return p, nil
+}
+
+// TriangulatePoint linearly triangulates a 3-D point (in the coordinate
+// frame of pose0's source) from two observations with known poses — the
+// workhorse behind Eq. 3 and all map expansion.
+func TriangulatePoint(cam geom.Camera, pose0, pose1 geom.Pose, p0, p1 geom.Vec2) (geom.Vec3, error) {
+	v0, v1 := NewView(cam, pose0), NewView(cam, pose1)
+	var g [16]float64
+	addDLTRows(&g, &v0.P, p0)
+	addDLTRows(&g, &v1.P, p1)
+	p, err := solveDLT(&g)
+	if err != nil {
+		return geom.Vec3{}, err
 	}
 	// Reject points behind the first camera.
 	if pose0.Apply(p).Z <= 0 {
@@ -291,38 +311,31 @@ func TriangulatePoint(cam geom.Camera, pose0, pose1 geom.Pose, p0, p1 geom.Vec2)
 	return p, nil
 }
 
+// ViewPixel is one observation of a point: the pixel it was seen at in
+// views[View].
+type ViewPixel struct {
+	View  int
+	Pixel geom.Vec2
+}
+
 // TriangulatePointMulti linearly triangulates a point from two or more
-// observations with known poses (multi-view DLT). It generalizes
-// TriangulatePoint for the local bundle adjustment sweep.
-func TriangulatePointMulti(cam geom.Camera, poses []geom.Pose, pixels []geom.Vec2) (geom.Vec3, error) {
-	if len(poses) < 2 || len(poses) != len(pixels) {
+// observations in views with known poses (multi-view DLT). It generalizes
+// TriangulatePoint for the local bundle adjustment sweep, which builds each
+// window frame's view once and shares it among the points it observes.
+func TriangulatePointMulti(views []View, obs []ViewPixel) (geom.Vec3, error) {
+	if len(obs) < 2 {
 		return geom.Vec3{}, ErrNotEnoughMatches
 	}
-	k := cam.K()
-	a := linalg.NewDense(2*len(poses), 4)
-	for i, pose := range poses {
-		m := k.Mul(pose.R)
-		kt := k.MulVec(pose.T)
-		row := [3][4]float64{
-			{m[0], m[1], m[2], kt.X},
-			{m[3], m[4], m[5], kt.Y},
-			{m[6], m[7], m[8], kt.Z},
-		}
-		for c := 0; c < 4; c++ {
-			a.Set(2*i, c, pixels[i].X*row[2][c]-row[0][c])
-			a.Set(2*i+1, c, pixels[i].Y*row[2][c]-row[1][c])
-		}
+	var g [16]float64
+	for _, o := range obs {
+		addDLTRows(&g, &views[o.View].P, o.Pixel)
 	}
-	h := linalg.NullVector(a)
-	if math.Abs(h[3]) < 1e-12 {
-		return geom.Vec3{}, ErrDegenerate
+	p, err := solveDLT(&g)
+	if err != nil {
+		return geom.Vec3{}, err
 	}
-	p := geom.V3(h[0]/h[3], h[1]/h[3], h[2]/h[3])
-	if !p.IsFinite() {
-		return geom.Vec3{}, ErrDegenerate
-	}
-	for _, pose := range poses {
-		if pose.Apply(p).Z <= 0 {
+	for _, o := range obs {
+		if views[o.View].Pose.Apply(p).Z <= 0 {
 			return geom.Vec3{}, ErrDegenerate
 		}
 	}

@@ -161,3 +161,34 @@ func TestEstimateFundamentalNotEnough(t *testing.T) {
 		t.Error("expected error with 5 correspondences")
 	}
 }
+
+// TestTriangulatePointMultiKnownPoses recovers points from three views, the
+// middle one shared by the observations, and agrees with the two-view
+// solver on the two-view subset.
+func TestTriangulatePointMultiKnownPoses(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	cam, rel, corr, pts := synthTwoView(rng, 30, 0)
+	third := geom.Pose{R: geom.RotY(-0.05), T: geom.V3(-0.3, 0.02, 0.05)}
+	views := []View{NewView(cam, geom.IdentityPose()), NewView(cam, third), NewView(cam, rel)}
+	for i, c := range corr {
+		px2, err := cam.Project(third.Apply(pts[i]))
+		if err != nil {
+			continue
+		}
+		got, err := TriangulatePointMulti(views, []ViewPixel{{0, c.P0}, {1, px2}, {2, c.P1}})
+		if err != nil {
+			t.Fatalf("point %d: %v", i, err)
+		}
+		if got.DistTo(pts[i]) > 0.01*pts[i].Norm() {
+			t.Fatalf("point %d: got %+v, want %+v", i, got, pts[i])
+		}
+		two, err := TriangulatePointMulti(views, []ViewPixel{{0, c.P0}, {2, c.P1}})
+		want, err2 := TriangulatePoint(cam, geom.IdentityPose(), rel, c.P0, c.P1)
+		if err != nil || err2 != nil || two != want {
+			t.Fatalf("point %d: two-view multi %+v (%v), TriangulatePoint %+v (%v)", i, two, err, want, err2)
+		}
+	}
+	if _, err := TriangulatePointMulti(views, []ViewPixel{{0, corr[0].P0}}); err == nil {
+		t.Error("one observation should not triangulate")
+	}
+}
