@@ -42,8 +42,8 @@ over sorted keys instead, or annotate the loop with
 
 Recognized order-insensitive bodies are not flagged: commutative
 accumulation (sum += v, n++), per-key writes (other[k] = f(v)), delete(m, k),
-and the collect-then-sort idiom (keys = append(keys, k) followed by a sort
-of that slice in the same block).`,
+and the collect-then-sort idiom (keys = append(keys, k) followed by a sort.X
+or slices.Sort/SortFunc/SortStableFunc of that slice in the same block).`,
 	Run: runMapIter,
 }
 
@@ -222,7 +222,8 @@ func orderInsensitiveAssign(pass *Pass, rng *ast.RangeStmt, s *ast.AssignStmt, r
 }
 
 // sortedLater reports whether one of the statements after the range loop is
-// a sort.X(...) call whose arguments mention dst.
+// a sort.X(...) or slices.Sort/SortFunc/SortStableFunc(...) call whose
+// arguments mention dst.
 func sortedLater(pass *Pass, dst *ast.Ident, rest []ast.Stmt) bool {
 	obj := pass.TypesInfo.Uses[dst]
 	if obj == nil {
@@ -241,7 +242,7 @@ func sortedLater(pass *Pass, dst *ast.Ident, rest []ast.Stmt) bool {
 		if !ok {
 			continue
 		}
-		if pkg, ok := sel.X.(*ast.Ident); !ok || !isPkgName(pass, pkg, "sort") {
+		if pkg, ok := sel.X.(*ast.Ident); !ok || !isSortCall(pass, pkg, sel.Sel.Name) {
 			continue
 		}
 		mentions := false
@@ -258,6 +259,15 @@ func sortedLater(pass *Pass, dst *ast.Ident, rest []ast.Stmt) bool {
 		}
 	}
 	return false
+}
+
+// slicesSorts are the package slices functions that sort their argument.
+var slicesSorts = map[string]bool{"Sort": true, "SortFunc": true, "SortStableFunc": true}
+
+// isSortCall reports whether pkg.name sorts its argument: any function of
+// package sort, or one of slicesSorts.
+func isSortCall(pass *Pass, pkg *ast.Ident, name string) bool {
+	return isPkgName(pass, pkg, "sort") || isPkgName(pass, pkg, "slices") && slicesSorts[name]
 }
 
 // isBuiltin reports whether fun is a direct use of the named builtin.

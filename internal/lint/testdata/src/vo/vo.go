@@ -2,7 +2,11 @@
 // deterministic set, so order-sensitive map ranges must be flagged.
 package vo
 
-import "sort"
+import (
+	"slices"
+	"sort"
+	"strings"
+)
 
 func sink(string, int) {}
 
@@ -60,6 +64,46 @@ func sortedByValue(m map[string]int) []string {
 	return out
 }
 
+// Collect-then-sort through package slices is clean: Sort, SortFunc over an
+// appended suffix, and SortStableFunc.
+func slicesSortedKeys(m map[string]int) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
+}
+
+func slicesSortedSuffix(dst []string, m map[string]int) []string {
+	start := len(dst)
+	for k := range m {
+		dst = append(dst, k)
+	}
+	slices.SortFunc(dst[start:], func(a, b string) int { return strings.Compare(a, b) })
+	return dst
+}
+
+func slicesStableSorted(m map[string]int) []string {
+	var keys []string
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.SortStableFunc(keys, strings.Compare)
+	return keys
+}
+
+// A package slices call that does not sort leaves map order in place —
+// flagged.
+func slicesReversed(m map[string]int) []string {
+	var keys []string
+	for k := range m { // want "range over map"
+		keys = append(keys, k)
+	}
+	slices.Reverse(keys)
+	return keys
+}
+
 // Commutative accumulation is order-insensitive — clean.
 func sum(m map[string]float64) float64 {
 	var s float64
@@ -103,7 +147,7 @@ func suppressed(m map[string]int) {
 }
 
 // Range over a slice is never flagged.
-func slices(xs []int) int {
+func sliceSum(xs []int) int {
 	t := 0
 	for _, x := range xs {
 		t += x

@@ -1,6 +1,7 @@
 package mask
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -242,6 +243,18 @@ func TestDifferentialRuns(t *testing.T) {
 			back := New(sz[0], sz[1])
 			back.FillRuns(got)
 			requireEqual(t, "FillRuns", back, s)
+			if n := m.RunCount(); n != len(want) {
+				t.Fatalf("%dx%d d=%v: RunCount = %d, want %d", sz[0], sz[1], d, n, len(want))
+			}
+			be := m.AppendRunsBE([]byte{0xAA})
+			if len(be) != 1+4*len(want) || be[0] != 0xAA {
+				t.Fatalf("%dx%d d=%v: AppendRunsBE wrote %d bytes after the prefix, want %d", sz[0], sz[1], d, len(be)-1, 4*len(want))
+			}
+			for i, r := range want {
+				if got := binary.BigEndian.Uint32(be[1+4*i:]); got != r {
+					t.Fatalf("%dx%d d=%v: AppendRunsBE run[%d] = %d, want %d", sz[0], sz[1], d, i, got, r)
+				}
+			}
 		}
 	}
 }
@@ -519,8 +532,21 @@ func FuzzPackedKernels(f *testing.F) {
 		dx, dy := int(w16%131)-65, int(h16%131)-65
 		requireEqual(t, "Translate", a.Translate(dx, dy), sa.Translate(dx, dy))
 		rt := New(w, h)
-		rt.FillRuns(a.AppendRuns(nil))
+		runs := a.AppendRuns(nil)
+		rt.FillRuns(runs)
 		requireEqual(t, "Runs round-trip", rt, sa)
+		if n := a.RunCount(); n != len(runs) {
+			t.Fatalf("RunCount = %d, want %d", n, len(runs))
+		}
+		be := a.AppendRunsBE(nil)
+		if len(be) != 4*len(runs) {
+			t.Fatalf("AppendRunsBE wrote %d bytes, want %d", len(be), 4*len(runs))
+		}
+		for i, r := range runs {
+			if binary.BigEndian.Uint32(be[4*i:]) != r {
+				t.Fatalf("AppendRunsBE run[%d] differs from AppendRuns", i)
+			}
+		}
 		requireContours(t, "noise", a, sa, int(dens16%10))
 		r, sr := randRects(rng, w, h, 1+int(dens16%6))
 		requireContours(t, "rects", r, sr, int(dens16%10))

@@ -32,6 +32,7 @@
 package mask
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 	"sync/atomic"
@@ -267,36 +268,75 @@ func (m *Bitmask) FillSpan(offset, n int) {
 // 1-pixels, starting with zeros (a zero-length leading run when the stream
 // opens with ones), runs crossing row boundaries like a flat pixel buffer.
 // This is the same convention the wire protocol serializes; it is also the
-// compact at-rest form the transfer cache parks cold masks in. The encoder
-// walks packed words directly, skipping runs 64 pixels at a time.
+// compact at-rest form the transfer cache parks cold masks in.
+//
+// The encoder walks the storage words in order. A run ends at each pixel
+// that differs from the one before it, and w ^ (w<<1 | prev) marks those
+// pixels of a word at once (prev is the pixel before its bit 0, an implicit
+// 0 at the start); a row's last word drops its padding bits.
 func (m *Bitmask) AppendRuns(dst []uint32) []uint32 {
-	inv := uint64(0) // complement mask: scanning for the end of a 1-run flips bits
-	run := uint32(0)
-	for y := 0; y < m.Height; y++ {
-		row := m.row(y)
-		x := 0
-		for x < m.Width {
-			k, b := x>>6, x&63
-			w := (row[k] ^ inv) >> uint(b)
-			rem := min(wordBits-b, m.Width-x)
-			if rem < wordBits {
-				w &= maskN(rem)
-			}
-			if w == 0 {
-				// Current run spans the rest of this word.
-				run += uint32(rem)
-				x += rem
-				continue
-			}
-			tz := bits.TrailingZeros64(w)
-			run += uint32(tz)
-			x += tz
-			dst = append(dst, run)
-			run = 0
-			inv = ^inv
+	tail, lastBit, wpr := m.tailMask(), uint(m.Width-1)&(wordBits-1), m.wpr
+	prev, base, start, k := uint64(0), 0, 0, 0
+	for _, w := range m.words {
+		d, step := w^(w<<1|prev), wordBits
+		prev = w >> (wordBits - 1)
+		if k++; k == wpr {
+			k, step = 0, int(lastBit)+1
+			d &= tail
+			prev = w >> lastBit & 1
 		}
+		for ; d != 0; d &= d - 1 {
+			at := base + bits.TrailingZeros64(d)
+			dst = append(dst, uint32(at-start))
+			start = at
+		}
+		base += step
 	}
-	return append(dst, run)
+	return append(dst, uint32(base-start))
+}
+
+// AppendRunsBE appends the AppendRuns stream to dst as big-endian uint32s,
+// the wire protocol's run encoding, so a serializer can write a mask's runs
+// straight into its message buffer. The loop is AppendRuns' with another
+// append.
+func (m *Bitmask) AppendRunsBE(dst []byte) []byte {
+	tail, lastBit, wpr := m.tailMask(), uint(m.Width-1)&(wordBits-1), m.wpr
+	prev, base, start, k := uint64(0), 0, 0, 0
+	for _, w := range m.words {
+		d, step := w^(w<<1|prev), wordBits
+		prev = w >> (wordBits - 1)
+		if k++; k == wpr {
+			k, step = 0, int(lastBit)+1
+			d &= tail
+			prev = w >> lastBit & 1
+		}
+		for ; d != 0; d &= d - 1 {
+			at := base + bits.TrailingZeros64(d)
+			dst = binary.BigEndian.AppendUint32(dst, uint32(at-start))
+			start = at
+		}
+		base += step
+	}
+	return binary.BigEndian.AppendUint32(dst, uint32(base-start))
+}
+
+// RunCount returns len(m.AppendRuns(nil)) without building the runs: one
+// more than the number of pixels that differ from the one before them,
+// counted with AppendRuns' word scan and a popcount.
+func (m *Bitmask) RunCount() int {
+	tail, lastBit, wpr := m.tailMask(), uint(m.Width-1)&(wordBits-1), m.wpr
+	prev, changes, k := uint64(0), 0, 0
+	for _, w := range m.words {
+		d := w ^ (w<<1 | prev)
+		prev = w >> (wordBits - 1)
+		if k++; k == wpr {
+			k = 0
+			d &= tail
+			prev = w >> lastBit & 1
+		}
+		changes += bits.OnesCount64(d)
+	}
+	return changes + 1
 }
 
 // FillRuns sets pixels from an alternating 0/1 run-length stream as produced

@@ -121,7 +121,9 @@ type SimBackend struct {
 
 // SimBackendConfig assembles a simulated edge.
 type SimBackendConfig struct {
-	// Model is the edge model; nil defaults to Mask R-CNN.
+	// Model is the edge model; nil defaults to Mask R-CNN. The backend
+	// runs it unsynchronized, so it must not be shared with anything
+	// running at the same time.
 	Model *segmodel.Model
 	// InferScale multiplies inference latency (device.Profile.InferScale);
 	// zero means 1.

@@ -87,7 +87,9 @@ type Config struct {
 	// NetworkProfile, when non-nil, overrides the medium's default link
 	// parameters — failure-injection tests degrade it.
 	NetworkProfile *netsim.Profile
-	// EdgeModel is the server-side model (typically Mask R-CNN).
+	// EdgeModel is the server-side model (typically Mask R-CNN). The
+	// engine runs it from its own goroutine; engines running at once need
+	// a model each (segmodel.Model is not safe for concurrent use).
 	EdgeModel *segmodel.Model
 	// EdgeInferScale multiplies inference latency (device.Profile.InferScale).
 	EdgeInferScale float64

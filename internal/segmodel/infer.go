@@ -109,12 +109,26 @@ func (r *Result) TotalMs() float64 {
 	return r.BackboneMs + r.RPNMs + r.SelectionMs + r.HeadMs
 }
 
-// Model is a simulated network.
+// Model is a simulated network. It is not safe for concurrent use: Run
+// reuses the model's per-frame scratch (the proposal stream, the NMS
+// buffers, the per-object best-RoI index, the run RNG and the mask pool),
+// so concurrent inference workers (the edge scheduler's accelerators) must
+// each own a Clone. Only the returned Result escapes a run; outputs depend
+// only on the input and profile, so clones are interchangeable.
 type Model struct {
 	Profile Profile
 	// pool recycles the scratch masks of the BoundaryNoise error model so
 	// repeated inference allocates only the emitted masks.
 	pool *mask.Pool
+	// rng is the per-frame generator, created on the first run and
+	// reseeded by every later one.
+	rng *rand.Rand
+	// props is the proposal stream of the current run.
+	props []Proposal
+	// nms holds the default selection's sorted candidates and survivors.
+	nms nms
+	// best indexes, per input object, its highest-scoring kept RoI.
+	best []int
 }
 
 // New builds a model with the default profile for the kind.
@@ -122,11 +136,7 @@ func New(kind Kind) *Model {
 	return &Model{Profile: DefaultProfile(kind), pool: mask.NewPool()}
 }
 
-// Clone returns a model with the same profile but its own scratch pool.
-// Run mutates the pool, so concurrent inference workers (the edge
-// scheduler's accelerators) must each own a clone rather than share one
-// model; outputs depend only on the input and profile, so clones are
-// interchangeable.
+// Clone returns a model with the same profile and its own scratch.
 func (m *Model) Clone() *Model {
 	return &Model{Profile: m.Profile, pool: mask.NewPool()}
 }
@@ -136,18 +146,25 @@ func (m *Model) Clone() *Model {
 // observation that end-to-end models are "hard to decompose, leaving little
 // room for improvement".
 func (m *Model) Run(in Input, g Guidance) *Result {
-	rng := newRunRand(in.Seed)
+	rng := m.runRand(in.Seed)
 	if m.Profile.RoIMs > 0 {
 		return m.runTwoStage(in, g, rng, nil)
 	}
 	return m.runOneStage(in, rng, nil)
 }
 
-// newRunRand builds the per-frame RNG. Both Run and RunWarped seed it
-// identically, so the two paths draw the same random stream and differ only
-// in cost accounting and the IoU scale.
-func newRunRand(seed int64) *rand.Rand {
-	return rand.New(rand.NewSource(seed))
+// runRand returns the per-frame RNG seeded with seed. Both Run and
+// RunWarped seed it identically, so the two paths draw the same random
+// stream and differ only in cost accounting and the IoU scale. Reseeding
+// resets the generator completely, so the stream equals that of
+// rand.New(rand.NewSource(seed)) whatever earlier runs drew.
+func (m *Model) runRand(seed int64) *rand.Rand {
+	if m.rng == nil {
+		m.rng = rand.New(rand.NewSource(seed))
+	} else {
+		m.rng.Seed(seed)
+	}
+	return m.rng
 }
 
 // runTwoStage simulates the RPN + RoI-head pipeline. A non-nil warpSpec
@@ -175,7 +192,7 @@ func (m *Model) runTwoStage(in Input, g Guidance, rng *rand.Rand, w *warpSpec) *
 	if g != nil {
 		kept = g.SelectRoIs(props)
 	} else {
-		kept = DefaultNMS(props, 0.7, p.MaxRoIs)
+		kept = m.nms.run(props, 0.7, p.MaxRoIs)
 	}
 	if len(kept) > p.MaxRoIs {
 		kept = kept[:p.MaxRoIs]
@@ -225,7 +242,7 @@ func (m *Model) runOneStage(in Input, rng *rand.Rand, w *warpSpec) *Result {
 	}
 	props := m.generateProposals(in, nil, res.AnchorsEvaluated, rng)
 	res.RoIsProposed = len(props)
-	kept := DefaultNMS(props, 0.7, 100)
+	kept := m.nms.run(props, 0.7, 100)
 	res.RoIsProcessed = len(kept)
 	res.Detections = m.emitDetections(in, kept, rng, warpIoUScale(w))
 	res.BackboneMs = p.BackboneMs
@@ -255,9 +272,10 @@ func objectQuality(in Input, b mask.Box) float64 {
 }
 
 // generateProposals emits jittered object proposals plus background false
-// positives proportional to the anchors evaluated.
+// positives proportional to the anchors evaluated, into the model's
+// proposal scratch (valid until the next run).
 func (m *Model) generateProposals(in Input, g Guidance, anchors int, rng *rand.Rand) []Proposal {
-	props := make([]Proposal, 0, 16*len(in.Objects)+8)
+	props := m.props[:0]
 	for idx, obj := range in.Objects {
 		if obj.Box.Empty() {
 			continue
@@ -332,6 +350,7 @@ func (m *Model) generateProposals(in Input, g Guidance, anchors int, rng *rand.R
 		})
 		emitted++
 	}
+	m.props = props
 	return props
 }
 
@@ -342,21 +361,30 @@ func (m *Model) generateProposals(in Input, g Guidance, anchors int, rng *rand.R
 // output.
 func (m *Model) emitDetections(in Input, kept []Proposal, rng *rand.Rand, iouScale float64) []Detection {
 	p := m.Profile
-	best := make(map[int]Proposal, len(in.Objects))
-	for _, pr := range kept {
-		if pr.ObjectIdx < 0 {
+	best := m.best[:0]
+	for range in.Objects {
+		best = append(best, -1)
+	}
+	m.best = best
+	found := 0
+	for i, pr := range kept {
+		if pr.ObjectIdx < 0 || pr.ObjectIdx >= len(best) {
 			continue
 		}
-		if b, ok := best[pr.ObjectIdx]; !ok || pr.Score > b.Score {
-			best[pr.ObjectIdx] = pr
+		switch b := best[pr.ObjectIdx]; {
+		case b < 0:
+			found++
+			best[pr.ObjectIdx] = i
+		case pr.Score > kept[b].Score:
+			best[pr.ObjectIdx] = i
 		}
 	}
-	out := make([]Detection, 0, len(best))
+	out := make([]Detection, 0, found)
 	for idx, obj := range in.Objects {
-		pr, ok := best[idx]
-		if !ok {
+		if best[idx] < 0 {
 			continue // no surviving RoI: missed
 		}
+		pr := kept[best[idx]]
 		q := objectQuality(in, obj.Box)
 		area := float64(obj.Visible.Area())
 		pMiss := p.BaseMissRate + math.Exp(-area*q/p.MissScale)
@@ -384,34 +412,81 @@ func (m *Model) emitDetections(in Input, kept []Proposal, rng *rand.Rand, iouSca
 		}
 		out = append(out, det)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ObjectID < out[j].ObjectID })
+	// Insertion sort by ObjectID: a handful of detections, already nearly
+	// in order, and the same order sort.Slice gives unique IDs.
+	for i := 1; i < len(out); i++ {
+		for j := i; j > 0 && out[j].ObjectID < out[j-1].ObjectID; j-- {
+			out[j], out[j-1] = out[j-1], out[j]
+		}
+	}
 	return out
 }
 
 // DefaultNMS is the vanilla greedy non-maximum suppression the unmodified
 // model uses: sort by score, drop boxes overlapping a kept box above the
-// IoU threshold, cap at maxKeep.
+// IoU threshold, cap at maxKeep. The result is a fresh slice.
 func DefaultNMS(props []Proposal, iouThresh float64, maxKeep int) []Proposal {
-	sorted := make([]Proposal, len(props))
-	copy(sorted, props)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Score > sorted[j].Score })
-	kept := make([]Proposal, 0, minInt(maxKeep, len(sorted)))
-	for _, p := range sorted {
-		suppressed := false
-		for _, k := range kept {
-			if p.Box.IoU(k.Box) > iouThresh {
-				suppressed = true
-				break
-			}
+	var n nms
+	return n.run(props, iouThresh, maxKeep)
+}
+
+// nms is DefaultNMS with reusable storage: the score-ordered candidates,
+// the survivors and the survivors' box areas.
+type nms struct {
+	sorted byScore
+	kept   []Proposal
+	areas  []int
+}
+
+// byScore orders proposals by descending score. sort.Sort on a pointer to
+// it runs the same pdqsort as sort.Slice with the same less function, so
+// exact score ties keep the order they always had.
+type byScore []Proposal
+
+func (s *byScore) Len() int           { return len(*s) }
+func (s *byScore) Less(i, j int) bool { return (*s)[i].Score > (*s)[j].Score }
+func (s *byScore) Swap(i, j int)      { (*s)[i], (*s)[j] = (*s)[j], (*s)[i] }
+
+// run returns the survivors of greedy NMS over props, in score order. The
+// slice is n's storage, valid until the next run.
+func (n *nms) run(props []Proposal, iouThresh float64, maxKeep int) []Proposal {
+	n.sorted = append(n.sorted[:0], props...)
+	sort.Sort(&n.sorted)
+	n.kept, n.areas = n.kept[:0], n.areas[:0]
+	for _, p := range n.sorted {
+		area := p.Box.Area()
+		if n.suppressed(p.Box, area, iouThresh) {
+			continue
 		}
-		if !suppressed {
-			kept = append(kept, p)
-			if len(kept) >= maxKeep {
-				break
-			}
+		n.kept = append(n.kept, p)
+		n.areas = append(n.areas, area)
+		if len(n.kept) >= maxKeep {
+			break
 		}
 	}
-	return kept
+	return n.kept
+}
+
+// suppressed reports whether b, of the given area, overlaps a kept box by
+// an IoU above iouThresh. Disjoint pairs have IoU 0 and skip the division;
+// overlapping pairs evaluate exactly mask.Box.IoU's expression.
+func (n *nms) suppressed(b mask.Box, area int, iouThresh float64) bool {
+	for i := range n.kept {
+		k := &n.kept[i].Box
+		w := min(b.MaxX, k.MaxX) - max(b.MinX, k.MinX)
+		h := min(b.MaxY, k.MaxY) - max(b.MinY, k.MinY)
+		iou := 0.0
+		if w > 0 && h > 0 {
+			inter := w * h
+			if union := area + n.areas[i] - inter; union > 0 {
+				iou = float64(inter) / float64(union)
+			}
+		}
+		if iou > iouThresh {
+			return true
+		}
+	}
+	return false
 }
 
 // scaleBox scales a box about its center, clipped to the image.
@@ -484,13 +559,6 @@ func clamp01(v float64) float64 {
 
 func maxInt(a, b int) int {
 	if a > b {
-		return a
-	}
-	return b
-}
-
-func minInt(a, b int) int {
-	if a < b {
 		return a
 	}
 	return b

@@ -1,0 +1,8 @@
+//go:build race
+
+package segmodel
+
+// raceEnabled reports whether the race detector is compiled in; the
+// allocation tests skip under it, since the detector's instrumentation
+// changes what escapes.
+const raceEnabled = true

@@ -19,7 +19,8 @@ package segmodel
 // Ownership: the cross-frame state of one client stream is a
 // KeyframeStream value held by whoever owns the session (edge.Session, the
 // pipeline backends, the loadgen simulator). Model itself holds no
-// cross-frame state, so it stays stateless and clone-safe.
+// cross-frame state: its per-frame scratch carries nothing from one run
+// into the next, so clones are interchangeable.
 
 import (
 	"math"
@@ -420,7 +421,7 @@ func (m *Model) RunWarped(in Input, g Guidance, d KeyframeDecision) *Result {
 	if d.Keyframe {
 		return m.Run(in, g)
 	}
-	rng := newRunRand(in.Seed)
+	rng := m.runRand(in.Seed)
 	w := &warpSpec{
 		backboneMs: m.Profile.WarpCostMs(d.ChangedTiles),
 		iouScale:   m.Profile.WarpIoUScale(d.Age),

@@ -99,6 +99,10 @@ type Predictor struct {
 	// caller may still alias that frame's prediction masks (core keeps them
 	// for CIIA guidance), so overwrites at this frame must not recycle.
 	lastPredictFrame int
+	// points and feats are Predict's scratch: the instance's map points
+	// and the depth sources drawn from them, reused across calls.
+	points []*vo.MapPoint
+	feats  []depthFeat
 }
 
 // NewPredictor builds a predictor for the given camera.
@@ -288,14 +292,16 @@ func (p *Predictor) Predict(sys *vo.System, instanceID, frameIdx int) (*Predicti
 
 	// Depth sources: the instance's map points observed in the source
 	// frame, at their source-frame pixel and depth.
-	feats := make([]depthFeat, 0, 64)
-	for _, mp := range sys.Map().InstancePoints(instanceID) {
+	p.points = sys.Map().AppendInstancePoints(p.points[:0], instanceID)
+	feats := p.feats[:0]
+	for _, mp := range p.points {
 		px, depth, ok := observationIn(mp, src.FrameIndex)
 		if !ok || depth <= 0 {
 			continue
 		}
 		feats = append(feats, depthFeat{px: px, depth: depth, edge: mp.NearContour})
 	}
+	p.feats = feats
 	if len(feats) == 0 {
 		return nil, ErrNoDepth
 	}

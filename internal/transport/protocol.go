@@ -253,22 +253,21 @@ func (r *reader) bytes() []byte {
 	return v
 }
 
-// encodeMask packs a bitmask via run-length encoding (alternating run
-// lengths of 0s and 1s, starting with 0s). The runs cover the row-major
-// pixel stream the mask package exposed before the word-packed rewrite, so
-// the wire bytes stay identical across versions (pinned by
-// TestMaskWireFormatGolden); mask.AppendRuns produces exactly that stream
-// straight from the packed words.
-func encodeMask(m *mask.Bitmask) []byte {
-	var w writer
-	w.i32(int32(m.Width))
-	w.i32(int32(m.Height))
-	runs := m.AppendRuns(make([]uint32, 0, 128))
-	w.i32(int32(len(runs)))
-	for _, r := range runs {
-		w.i32(int32(r))
-	}
-	return w.buf
+// appendMask appends m's run-length encoding to dst: big-endian i32 width,
+// height and run count, then the runs (alternating lengths of 0s and 1s,
+// starting with 0s). The runs cover the row-major pixel stream the mask
+// package exposed before the word-packed rewrite, so the wire bytes stay
+// identical across versions (pinned by TestMaskWireFormatGolden);
+// mask.AppendRunsBE writes exactly that stream straight from the packed
+// words.
+func appendMask(dst []byte, m *mask.Bitmask) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(m.Width))
+	dst = binary.BigEndian.AppendUint32(dst, uint32(m.Height))
+	at := len(dst)
+	dst = append(dst, 0, 0, 0, 0) // run count, patched below
+	dst = m.AppendRunsBE(dst)
+	binary.BigEndian.PutUint32(dst[at:], uint32((len(dst)-at-4)/4))
+	return dst
 }
 
 // decodeMask unpacks an RLE mask.
@@ -304,9 +303,11 @@ func decodeMask(b []byte) (*mask.Bitmask, error) {
 	return m, nil
 }
 
-// MarshalFrame encodes a FrameMsg (without the outer length prefix).
+// MarshalFrame encodes a FrameMsg (without the outer length prefix). It
+// sizes the message first and makes its one allocation at that size; each
+// object's mask is run-length encoded in place.
 func MarshalFrame(f *FrameMsg) []byte {
-	var w writer
+	w := writer{buf: make([]byte, 0, frameSize(f))}
 	w.u8(protocolVersion)
 	w.u8(TypeFrame)
 	w.i32(f.FrameIndex)
@@ -321,7 +322,10 @@ func MarshalFrame(f *FrameMsg) []byte {
 		w.i32(int32(o.Box.MinY))
 		w.i32(int32(o.Box.MaxX))
 		w.i32(int32(o.Box.MaxY))
-		w.bytes(encodeMask(o.Visible))
+		at := len(w.buf)
+		w.i32(0) // mask blob length, patched below
+		w.buf = appendMask(w.buf, o.Visible)
+		binary.BigEndian.PutUint32(w.buf[at:], uint32(len(w.buf)-at-4))
 	}
 	w.i32(f.TileCols)
 	w.i32(int32(len(f.QualityLevels)))
@@ -346,6 +350,22 @@ func MarshalFrame(f *FrameMsg) []byte {
 		w.buf = append(w.buf, make([]byte, f.PaddingBytes)...)
 	}
 	return w.buf
+}
+
+// frameSize is the exact length of MarshalFrame's output for f.
+func frameSize(f *FrameMsg) int {
+	n := 2 + 4 + 4 + 4 + 8 + 4 // version, type, index, width, height, seed, object count
+	for _, o := range f.Objects {
+		// id, label, box, blob length; the blob is appendMask's output
+		n += 6*4 + 4 + 12 + 4*o.Visible.RunCount()
+	}
+	n += 4 + 4 + 4*len(f.QualityLevels) // tile columns, level count, levels
+	n += 4 + 6*4*len(f.Areas)           // area count, areas
+	n += 4                              // padding length
+	if f.PaddingBytes > 0 {
+		n += int(f.PaddingBytes)
+	}
+	return n
 }
 
 // UnmarshalFrame decodes a FrameMsg.

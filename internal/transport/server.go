@@ -222,7 +222,9 @@ func (a *modelAccelerator) Launch(jobs []edge.Job, outs []*segmodel.Result) floa
 	return launchMs
 }
 
-// NewServer builds an edge server around the given model.
+// NewServer builds an edge server around the given model. The model is a
+// prototype: each accelerator runs its own Clone, so the server never runs
+// it and the caller may keep using it.
 func NewServer(model *segmodel.Model, opts ...ServerOption) *Server {
 	s := &Server{
 		model:        model,

@@ -108,7 +108,7 @@ func TestMaskRLERoundTripProperty(t *testing.T) {
 				m.Set(i%48, i/48)
 			}
 		}
-		b := encodeMask(m)
+		b := appendMask(nil, m)
 		got, err := decodeMask(b)
 		if err != nil {
 			return false

@@ -34,9 +34,9 @@ func TestMaskWireFormatGolden(t *testing.T) {
 		0, 0, 0, 7, // 7 zeros
 		0, 0, 0, 5, // 5 ones
 	}
-	got := encodeMask(m)
+	got := appendMask(nil, m)
 	if !bytes.Equal(got, golden) {
-		t.Fatalf("encodeMask = % x\nwant        % x", got, golden)
+		t.Fatalf("appendMask = % x\nwant        % x", got, golden)
 	}
 	back, err := decodeMask(golden)
 	if err != nil {
@@ -64,10 +64,10 @@ func TestMaskWireFormatCrossVersion(t *testing.T) {
 		// an old byte-per-pixel peer by re-encoding from that stream.
 		flat := m.Bytes()
 		peer := mask.FromBytes(sz[0], sz[1], flat)
-		if !bytes.Equal(encodeMask(m), encodeMask(peer)) {
+		if !bytes.Equal(appendMask(nil, m), appendMask(nil, peer)) {
 			t.Fatalf("size %v: packed encoding differs from byte-stream peer encoding", sz)
 		}
-		back, err := decodeMask(encodeMask(m))
+		back, err := decodeMask(appendMask(nil, m))
 		if err != nil {
 			t.Fatalf("size %v: decode: %v", sz, err)
 		}

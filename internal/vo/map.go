@@ -1,6 +1,8 @@
 package vo
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"edgeis/internal/geom"
@@ -120,19 +122,21 @@ func (m *Map) Remove(id int) {
 	}
 }
 
-// InstancePoints returns all points of a VO instance, sorted by ID. The
-// order is load-bearing: callers feed these points into distance sorts and
-// averaging, so a map-iteration order would leak nondeterminism into poses
-// and transferred masks.
-func (m *Map) InstancePoints(instanceID int) []*MapPoint {
-	var out []*MapPoint
+// AppendInstancePoints appends all points of a VO instance to dst, sorted
+// by ID, and returns the extended slice. The order is load-bearing: callers
+// feed these points into distance sorts and averaging, so a map-iteration
+// order would leak nondeterminism into poses and transferred masks. IDs are
+// unique, so any sort yields this one order. Callers on a per-frame path
+// pass a reused slice to keep the lookup allocation-free.
+func (m *Map) AppendInstancePoints(dst []*MapPoint, instanceID int) []*MapPoint {
+	start := len(dst)
 	for _, p := range m.points {
 		if p.InstanceID == instanceID {
-			out = append(out, p)
+			dst = append(dst, p)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	slices.SortFunc(dst[start:], func(a, b *MapPoint) int { return cmp.Compare(a.ID, b.ID) })
+	return dst
 }
 
 // BackgroundPoints returns all background-labeled points, sorted by ID so

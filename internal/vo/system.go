@@ -1323,7 +1323,7 @@ func (s *System) retireUnconfirmed(rec *FrameRecord, masks []LabeledMask) {
 		if inst.MissedAnnotations < maxMissedAnnotations {
 			continue
 		}
-		for _, mp := range s.world.InstancePoints(instID) {
+		for _, mp := range s.world.AppendInstancePoints(nil, instID) {
 			mp.InstanceID = 0
 			mp.Label = LabelUnknown
 		}
@@ -1358,7 +1358,7 @@ func (s *System) storeFrame(rec *FrameRecord) {
 // given instance, most recent first.
 func (s *System) FramesObserving(instanceID int) []int {
 	seen := make(map[int]bool)
-	for _, mp := range s.world.InstancePoints(instanceID) {
+	for _, mp := range s.world.AppendInstancePoints(nil, instanceID) {
 		for _, obs := range mp.Observations {
 			seen[obs.FrameIndex] = true
 		}

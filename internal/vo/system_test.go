@@ -123,7 +123,7 @@ func TestSystemCreatesInstances(t *testing.T) {
 	labels := map[int]bool{}
 	for _, inst := range insts {
 		labels[inst.Label] = true
-		if pts := h.sys.Map().InstancePoints(inst.ID); len(pts) < minObservationsForPose {
+		if pts := h.sys.Map().AppendInstancePoints(nil, inst.ID); len(pts) < minObservationsForPose {
 			t.Errorf("instance %d has %d points", inst.ID, len(pts))
 		}
 	}
@@ -367,7 +367,7 @@ func TestMapIndexes(t *testing.T) {
 		t.Error("unknown count")
 	}
 	p.InstanceID = 7
-	if got := m.InstancePoints(7); len(got) != 1 {
+	if got := m.AppendInstancePoints(nil, 7); len(got) != 1 {
 		t.Error("instance points")
 	}
 	if got := m.Instances(); len(got) != 1 || got[0] != 7 {
