@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -158,7 +159,15 @@ func (s *System) stageZClip(f *scene.Frame, ts *trackingState) {
 		}
 		return 1e18
 	}
-	sort.Slice(order, func(a, b int) bool { return depth(order[a]) < depth(order[b]) })
+	slices.SortFunc(order, func(a, b int) int {
+		switch da, db := depth(a), depth(b); {
+		case da < db:
+			return -1
+		case db < da:
+			return 1
+		}
+		return 0
+	})
 	occluded := s.pool.Get(s.cfg.Camera.Width, s.cfg.Camera.Height)
 	clipped := make([]*mask.Bitmask, len(preds))
 	for _, i := range order {

@@ -167,8 +167,8 @@ func TestOrbitFrameAllocationCeiling(t *testing.T) {
 	}
 	const (
 		frames       = 200
-		frameCeiling = 430 // measured mean: 216.1 per frame
-		voCeiling    = 290 // measured mean: 145.2 per frame
+		frameCeiling = 200 // measured mean: 98.4 per frame
+		voCeiling    = 75  // measured mean: 36.1 per frame
 	)
 	// Record every allocation's stack, so the profile attributes each one.
 	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)

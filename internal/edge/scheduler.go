@@ -293,20 +293,14 @@ func (s *Scheduler) Ledger() metrics.Ledger {
 	return s.led
 }
 
-// infer admits one request and blocks until it is served, rejected, shed or
-// cancelled. No scheduler lock is held while waiting.
-//
-// The keyframe decision is made here, at admission time, because it is the
-// session's only cross-frame state transition and admissions are the
-// arrival order of the session's frames. It happens before the scheduler
-// lock is taken (the decision reads the session's cache under sess.mu,
-// which is never held together with s.mu); if a decided request then fails
-// to reach an accelerator, the session's stream is told below so no later
-// frame warps from a pyramid that was never computed.
-func (s *Scheduler) infer(sess *Session, in segmodel.Input, g segmodel.Guidance) (*segmodel.Result, float64, error) {
-	d := sess.decide(in, g)
-	j := &job{Job: Job{In: in, G: g, D: d}, sess: sess, class: ClassOf(in, g, d.Keyframe),
-		enqueued: time.Now(), done: make(chan jobResult, 1)}
+// submit admits one job its session has decided (Session.Decide) and
+// blocks until it is served, rejected, shed or cancelled. No scheduler lock
+// is held while waiting. If the job fails to reach an accelerator, the
+// session's keyframe stream is told below, so no later frame warps from a
+// pyramid that was never computed.
+func (s *Scheduler) submit(j *job) (*segmodel.Result, float64, error) {
+	sess, d := j.sess, j.D
+	j.enqueued = time.Now()
 	s.mu.Lock()
 	if s.closed || sess.closed {
 		s.mu.Unlock()

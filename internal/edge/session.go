@@ -110,9 +110,30 @@ func (sess *Session) Guide(g segmodel.Guidance) segmodel.Guidance {
 
 // Infer submits one request for this session and blocks until an
 // accelerator has served it (or it was rejected/cancelled). It returns the
-// model output and the simulated inference latency in milliseconds.
+// model output and the simulated inference latency in milliseconds. It is
+// Submit(Decide(in, g)), for a caller with one request in flight.
 func (sess *Session) Infer(in segmodel.Input, g segmodel.Guidance) (*segmodel.Result, float64, error) {
-	return sess.sched.infer(sess, in, g)
+	return sess.Submit(sess.Decide(in, g))
+}
+
+// Decided is a request whose keyframe class its session has decided,
+// waiting for Submit.
+type Decided struct{ j *job }
+
+// Decide classifies one request against the session's keyframe stream. The
+// decision is the stream's only cross-frame state transition, so a caller
+// with several requests in flight decides each one where the requests
+// arrive in order (a connection's read loop), exactly once, and submits
+// every request it decided.
+func (sess *Session) Decide(in segmodel.Input, g segmodel.Guidance) Decided {
+	d := sess.decide(in, g)
+	return Decided{&job{Job: Job{In: in, G: g, D: d}, sess: sess, class: ClassOf(in, g, d.Keyframe),
+		done: make(chan jobResult, 1)}}
+}
+
+// Submit admits a request from Decide and blocks like Infer.
+func (sess *Session) Submit(r Decided) (*segmodel.Result, float64, error) {
+	return sess.sched.submit(r.j)
 }
 
 // Stats snapshots the session.
@@ -153,10 +174,8 @@ func (sess *Session) Close() {
 	sess.mu.Unlock()
 }
 
-// decide classifies one request against the session's keyframe stream. It
-// is the stream's only cross-frame state transition, so the scheduler calls
-// it exactly once per request, in admission order. Must not be called with
-// the scheduler's mutex held (it takes sess.mu).
+// decide classifies one request against the session's keyframe stream.
+// Must not be called with the scheduler's mutex held (it takes sess.mu).
 func (sess *Session) decide(in segmodel.Input, g segmodel.Guidance) segmodel.KeyframeDecision {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()

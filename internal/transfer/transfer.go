@@ -13,8 +13,9 @@
 package transfer
 
 import (
+	"cmp"
 	"errors"
-	"sort"
+	"slices"
 
 	"edgeis/internal/geom"
 	"edgeis/internal/mask"
@@ -252,7 +253,7 @@ func (p *Predictor) PredictAll(sys *vo.System, frameIdx int) []Prediction {
 		out = append(out, *pred)
 	}
 	// Stable output order for deterministic pipelines.
-	sort.Slice(out, func(i, j int) bool { return out[i].InstanceID < out[j].InstanceID })
+	slices.SortFunc(out, func(a, b Prediction) int { return cmp.Compare(a.InstanceID, b.InstanceID) })
 	return out
 }
 

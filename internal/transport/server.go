@@ -353,10 +353,11 @@ func (s *Server) untrack(conn net.Conn) {
 // serveConn handles one mobile client until EOF: framing in, session and
 // scheduler in the middle, framing out. Up to connPipeline frames are in
 // flight at once. The read loop takes a slot before it reads each message,
-// decodes the frame and resolves its guidance in arrival order (the CIIA
-// context is order-sensitive), then hands the frame to a goroutine that
-// blocks in the scheduler and writes the outcome under the connection's
-// write lock. Outcomes may interleave out of frame order — the client
+// decodes the frame, and resolves its guidance and decides its keyframe
+// class in arrival order (the CIIA context and the keyframe stream are
+// order-sensitive), then hands the decided job to a goroutine that blocks
+// in the scheduler and writes the outcome under the connection's write
+// lock. Outcomes may interleave out of frame order — the client
 // correlates by FrameIndex. At depth 1 this is read, infer, write, repeat:
 // the read deadline only runs while nothing is in flight, and nothing is
 // queued when the peer hangs up. When the read loop exits, closing the
@@ -396,9 +397,9 @@ func (s *Server) serveConn(conn net.Conn) {
 			return
 		}
 		in, guidance := frameInput(frame)
-		g := sess.Guide(guidance)
+		r := sess.Decide(in, sess.Guide(guidance))
 		c.inflight.Add(1)
-		go c.serveFrame(frame.FrameIndex, in, g)
+		go c.serveFrame(frame.FrameIndex, r)
 	}
 }
 
@@ -422,12 +423,13 @@ func (c *serverConn) write(payload []byte) error {
 	return c.srv.write(c.conn, payload)
 }
 
-// serveFrame runs one frame through the scheduler, writes its outcome — a
-// result, or a per-frame reject or shed notice — and frees its slot.
-func (c *serverConn) serveFrame(idx int32, in segmodel.Input, g segmodel.Guidance) {
+// serveFrame runs one decided frame through the scheduler, writes its
+// outcome — a result, or a per-frame reject or shed notice — and frees its
+// slot.
+func (c *serverConn) serveFrame(idx int32, r edge.Decided) {
 	defer c.inflight.Done()
 	defer func() { <-c.slots }()
-	out, inferMs, err := c.sess.Infer(in, g)
+	out, inferMs, err := c.sess.Submit(r)
 	var payload []byte
 	switch {
 	case errors.Is(err, edge.ErrQueueFull):

@@ -542,3 +542,61 @@ func TestServerShedsSurfaceToClients(t *testing.T) {
 		t.Errorf("session shed %d, client saw %d", rows[0].Shed, cl.Shed())
 	}
 }
+
+// TestKeyframeClassFollowsArrivalOrder pipelines frames through one
+// connection under a keyframe interval of 4 and reads each frame's class
+// from its result's simulated latency: a keyframe pays the full backbone, a
+// warped frame the smaller warp cost. The connection's read loop decides
+// each frame's class as the frame arrives, so frame i is a keyframe exactly
+// when i%4 == 0, however the frames' goroutines are then scheduled.
+func TestKeyframeClassFollowsArrivalOrder(t *testing.T) {
+	const frames, interval = 12, 4
+	srv := NewServer(segmodel.New(segmodel.MaskRCNN),
+		WithAccelerators(2),
+		WithKeyframePolicy(segmodel.KeyframePolicy{Interval: interval}),
+		WithConnPipeline(4))
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = srv.Close() }()
+	cl, err := Dial(addr.String(), time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = cl.Close() }()
+
+	for i := 0; i < frames; i++ {
+		f := sampleFrame()
+		f.FrameIndex = int32(i)
+		if !cl.Send(f) {
+			t.Fatalf("send %d rejected locally", i)
+		}
+	}
+	inferMs := make([]float64, frames)
+	deadline := time.After(10 * time.Second)
+	for got := 0; got < frames; got++ {
+		select {
+		case res, ok := <-cl.Results():
+			if !ok {
+				t.Fatalf("connection lost after %d results: %v", got, cl.Err())
+			}
+			inferMs[res.FrameIndex] = res.InferMs
+		case <-deadline:
+			t.Fatalf("%d of %d results", got, frames)
+		}
+	}
+
+	lo, hi := inferMs[0], inferMs[0]
+	for _, ms := range inferMs {
+		lo, hi = min(lo, ms), max(hi, ms)
+	}
+	if lo == hi {
+		t.Fatalf("every frame cost %.3f ms: no warped frame to tell apart", lo)
+	}
+	for i, ms := range inferMs {
+		if keyframe, want := ms > (lo+hi)/2, i%interval == 0; keyframe != want {
+			t.Fatalf("frame %d keyframe = %v, want %v (infer ms by frame: %v)", i, keyframe, want, inferMs)
+		}
+	}
+}

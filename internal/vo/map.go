@@ -148,7 +148,7 @@ func (m *Map) BackgroundPoints() []*MapPoint {
 			out = append(out, p)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	slices.SortFunc(out, func(a, b *MapPoint) int { return cmp.Compare(a.ID, b.ID) })
 	return out
 }
 
@@ -210,11 +210,11 @@ func (m *Map) Cleanup(policy CleanupPolicy, currentFrame int) int {
 		// LastSeen ties are broken by ID: the candidate slice is collected in
 		// map-iteration order, so an unstable single-key sort would cull a
 		// different subset on every run.
-		sort.Slice(ids, func(i, j int) bool {
-			if ids[i].LastSeen != ids[j].LastSeen {
-				return ids[i].LastSeen < ids[j].LastSeen
+		slices.SortFunc(ids, func(a, b *MapPoint) int {
+			if a.LastSeen != b.LastSeen {
+				return cmp.Compare(a.LastSeen, b.LastSeen)
 			}
-			return ids[i].ID < ids[j].ID
+			return cmp.Compare(a.ID, b.ID)
 		})
 		for _, p := range ids[:len(m.points)-policy.MaxPoints] {
 			m.Remove(p.ID)

@@ -34,6 +34,12 @@ const huberDelta = 3.0
 // Gauss-Newton over SE(3), using a Huber weighting for robustness and
 // Levenberg damping for stability. init is the starting world-to-camera
 // (or object-to-camera) pose.
+//
+// Each iteration makes one pass over the observations: the candidate's
+// linearization costs the step and, once the step is accepted, is the next
+// iteration's normal equations. A rejected step or a failed factorization
+// keeps the current pose's equations, and the result's inlier count and
+// RMSE come from the last accepted linearization.
 func OptimizePose(cam geom.Camera, obs []Observation, init geom.Pose, iterations int) (OptimizeResult, error) {
 	if len(obs) < minObservationsForPose {
 		return OptimizeResult{}, ErrNotEnoughMatches
@@ -44,69 +50,9 @@ func OptimizePose(cam geom.Camera, obs []Observation, init geom.Pose, iterations
 	pose := init
 	lambda := 1e-4
 
-	cost := func(p geom.Pose) float64 {
-		sum := 0.0
-		for _, o := range obs {
-			px, err := cam.ProjectWorld(p, o.Point)
-			if err != nil {
-				sum += huberDelta * huberDelta * 4
-				continue
-			}
-			r2 := px.Sub(o.Pixel).Dot(px.Sub(o.Pixel))
-			sum += huberLoss(r2)
-		}
-		return sum
-	}
-
-	prevCost := cost(pose)
+	cur := linearize(cam, obs, pose)
 	for it := 0; it < iterations; it++ {
-		// Normal equations H*delta = b, accumulated upper triangle first
-		// and then mirrored, with every product rounded before its sum.
-		var h [36]float64
-		var b [6]float64
-		for _, o := range obs {
-			pc := pose.Apply(o.Point)
-			if pc.Z <= 1e-6 {
-				continue
-			}
-			px, err := cam.Project(pc)
-			if err != nil {
-				continue
-			}
-			rx := px.X - o.Pixel.X
-			ry := px.Y - o.Pixel.Y
-			w := huberWeight(float64(rx*rx) + float64(ry*ry))
-
-			// Jacobian of pixel wrt left-multiplied se(3) increment:
-			// d(u,v)/d(pc) * [I | -pc^].
-			invZ := 1 / pc.Z
-			invZ2 := invZ * invZ
-			du := [3]float64{cam.Fx * invZ, 0, -cam.Fx * pc.X * invZ2}
-			dv := [3]float64{0, cam.Fy * invZ, -cam.Fy * pc.Y * invZ2}
-			var ju, jv [6]float64
-			// Translation block: identity.
-			copy(ju[:3], du[:])
-			copy(jv[:3], dv[:])
-			// Rotation block: -(d/dpc) * skew(pc).
-			sk := geom.Skew(pc)
-			for c := 0; c < 3; c++ {
-				var su, sv float64
-				for k := 0; k < 3; k++ {
-					su += float64(du[k] * sk.At(k, c))
-					sv += float64(dv[k] * sk.At(k, c))
-				}
-				ju[3+c] = -su
-				jv[3+c] = -sv
-			}
-			for i := 0; i < 6; i++ {
-				for j := i; j < 6; j++ {
-					h[i*6+j] += float64(w * (float64(ju[i]*ju[j]) + float64(jv[i]*jv[j])))
-				}
-				b[i] -= float64(w * (float64(ju[i]*rx) + float64(jv[i]*ry)))
-			}
-		}
-		linalg.MirrorUpper(h[:], 6)
-		delta, err := linalg.SolveCholesky(&h, b, lambda)
+		delta, err := linalg.SolveCholesky(&cur.h, cur.b, lambda)
 		if err != nil {
 			lambda *= 10
 			if lambda > 1e3 {
@@ -118,10 +64,10 @@ func OptimizePose(cam geom.Camera, obs []Observation, init geom.Pose, iterations
 			geom.V3(delta[0], delta[1], delta[2]),
 			geom.V3(delta[3], delta[4], delta[5]),
 		)
-		c := cost(cand)
-		if c < prevCost {
+		next := linearize(cam, obs, cand)
+		if next.cost < cur.cost {
 			pose = cand
-			prevCost = c
+			cur = next
 			lambda = math.Max(lambda*0.5, 1e-6)
 			// Converged when the update is negligible.
 			if normSq(delta) < 1e-16 {
@@ -135,28 +81,110 @@ func OptimizePose(cam geom.Camera, obs []Observation, init geom.Pose, iterations
 		}
 	}
 
-	// Final inlier accounting.
-	inliers := 0
-	sumSq := 0.0
-	for _, o := range obs {
-		px, err := cam.ProjectWorld(pose, o.Point)
-		if err != nil {
-			continue
-		}
-		d2 := px.Sub(o.Pixel).Dot(px.Sub(o.Pixel))
-		if d2 < huberDelta*huberDelta*4 {
-			inliers++
-			sumSq += d2
-		}
-	}
-	if inliers < minObservationsForPose {
+	if cur.inliers < minObservationsForPose {
 		return OptimizeResult{}, ErrDegenerate
 	}
 	return OptimizeResult{
 		Pose:    pose,
-		Inliers: inliers,
-		RMSE:    math.Sqrt(sumSq / float64(inliers)),
+		Inliers: cur.inliers,
+		RMSE:    math.Sqrt(cur.sumSq / float64(cur.inliers)),
 	}, nil
+}
+
+// linearization is everything one pass over the observations yields at a
+// pose: the Huber cost, the inlier statistics and the damped solve's normal
+// equations h*delta = b.
+type linearization struct {
+	cost    float64
+	inliers int
+	sumSq   float64 // squared residuals of the inliers, px²
+	h       [36]float64
+	b       [6]float64
+}
+
+// linearize makes the single pass over obs at pose. A point at or behind
+// the image plane (pc.Z <= 1e-9) costs a fixed outlier penalty and is never
+// an inlier; one within 1e-6 of it still costs and counts but is left out of
+// the normal equations.
+//
+// The Jacobian of the pixel with respect to a left-multiplied se(3)
+// increment is d(u,v)/d(pc) * [I | -pc^], with du = (fx/z, 0, -fx*x/z²) and
+// dv = (0, fy/z, -fy*y/z²); it is written out with its structural zeros
+// dropped. Every dropped term is an exact ±0, and h and b start at +0 and
+// can never become -0, so each entry holds the same bits as the full 6×6
+// accumulation. Every product is rounded explicitly so that no architecture
+// fuses it into a multiply-add.
+func linearize(cam geom.Camera, obs []Observation, pose geom.Pose) linearization {
+	var l linearization
+	r, t := &pose.R, pose.T
+	h := &l.h
+	for i := range obs {
+		p, pix := obs[i].Point, obs[i].Pixel
+		pc := geom.Vec3{
+			X: float64(r[0]*p.X) + float64(r[1]*p.Y) + float64(r[2]*p.Z) + t.X,
+			Y: float64(r[3]*p.X) + float64(r[4]*p.Y) + float64(r[5]*p.Z) + t.Y,
+			Z: float64(r[6]*p.X) + float64(r[7]*p.Y) + float64(r[8]*p.Z) + t.Z,
+		}
+		if pc.Z <= 1e-9 {
+			l.cost += huberDelta * huberDelta * 4
+			continue
+		}
+		rx := float64(cam.Fx*pc.X)/pc.Z + cam.Cx - pix.X
+		ry := float64(cam.Fy*pc.Y)/pc.Z + cam.Cy - pix.Y
+		r2 := float64(rx*rx) + float64(ry*ry)
+		l.cost += huberLoss(r2)
+		if r2 < huberDelta*huberDelta*4 {
+			l.inliers++
+			l.sumSq += r2
+		}
+		if pc.Z <= 1e-6 {
+			continue
+		}
+		w := huberWeight(r2)
+
+		invZ := 1 / pc.Z
+		invZ2 := invZ * invZ
+		u0 := cam.Fx * invZ
+		u2 := -cam.Fx * pc.X * invZ2
+		v1 := cam.Fy * invZ
+		v2 := -cam.Fy * pc.Y * invZ2
+		// Rotation block: -(d/dpc) * skew(pc).
+		u3 := float64(u2 * pc.Y)
+		u4 := float64(u0*pc.Z) - float64(u2*pc.X)
+		u5 := -float64(u0 * pc.Y)
+		v3 := float64(v2*pc.Y) - float64(v1*pc.Z)
+		v4 := -float64(v2 * pc.X)
+		v5 := float64(v1 * pc.X)
+
+		h[0] += float64(w * float64(u0*u0))
+		h[2] += float64(w * float64(u0*u2))
+		h[3] += float64(w * float64(u0*u3))
+		h[4] += float64(w * float64(u0*u4))
+		h[5] += float64(w * float64(u0*u5))
+		h[7] += float64(w * float64(v1*v1))
+		h[8] += float64(w * float64(v1*v2))
+		h[9] += float64(w * float64(v1*v3))
+		h[10] += float64(w * float64(v1*v4))
+		h[11] += float64(w * float64(v1*v5))
+		h[14] += float64(w * (float64(u2*u2) + float64(v2*v2)))
+		h[15] += float64(w * (float64(u2*u3) + float64(v2*v3)))
+		h[16] += float64(w * (float64(u2*u4) + float64(v2*v4)))
+		h[17] += float64(w * (float64(u2*u5) + float64(v2*v5)))
+		h[21] += float64(w * (float64(u3*u3) + float64(v3*v3)))
+		h[22] += float64(w * (float64(u3*u4) + float64(v3*v4)))
+		h[23] += float64(w * (float64(u3*u5) + float64(v3*v5)))
+		h[28] += float64(w * (float64(u4*u4) + float64(v4*v4)))
+		h[29] += float64(w * (float64(u4*u5) + float64(v4*v5)))
+		h[35] += float64(w * (float64(u5*u5) + float64(v5*v5)))
+		l.b[0] -= float64(w * float64(u0*rx))
+		l.b[1] -= float64(w * float64(v1*ry))
+		l.b[2] -= float64(w * (float64(u2*rx) + float64(v2*ry)))
+		l.b[3] -= float64(w * (float64(u3*rx) + float64(v3*ry)))
+		l.b[4] -= float64(w * (float64(u4*rx) + float64(v4*ry)))
+		l.b[5] -= float64(w * (float64(u5*rx) + float64(v5*ry)))
+	}
+	linalg.MirrorUpper(h[:], 6)
+	return l
 }
 
 // huberLoss returns the Huber cost for a squared residual.

@@ -1,9 +1,11 @@
 package vo
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"edgeis/internal/geom"
@@ -212,6 +214,7 @@ type System struct {
 	posSnapshots []map[int]geom.Vec3
 
 	ba baArena
+	tr trackScratch
 }
 
 // baArena is localBundleAdjustment's scratch, reused from call to call so
@@ -223,6 +226,25 @@ type baArena struct {
 	slotOf map[int]int
 	slots  []baSlot
 	obs    []Observation // one window frame's resection observations
+}
+
+// trackScratch is track's per-frame scratch, reused from frame to frame.
+// The per-instance maps keep their keys: a frame truncates every slice and
+// then fills those of the instances it observes, so a key whose slice is
+// empty belongs to an instance seen in an earlier frame only.
+type trackScratch struct {
+	matchedPts []*MapPoint // per keypoint: its matched map point, or nil
+	bgObs      []Observation
+	camObs     []Observation
+	instObs    map[int][]Observation
+	instOrder  []int // instance IDs observed this frame, sorted
+	instKp     map[int][]geom.Vec2
+	instIDs    map[int][]int
+	bgIDs      []int
+	bgPix      []geom.Vec2
+	aged       []Observation // one set of observations against aged structure
+	suspects   map[int]bool
+	ds         []float64 // medianResidual's distances
 }
 
 // baSlot holds one point's observations in the window.
@@ -263,6 +285,12 @@ func NewSystem(cfg Config) *System {
 		instances:    make(map[int]*InstanceTrack),
 		nextInstance: 1,
 		ba:           baArena{slotOf: make(map[int]int)},
+		tr: trackScratch{
+			instObs:  make(map[int][]Observation),
+			instKp:   make(map[int][]geom.Vec2),
+			instIDs:  make(map[int][]int),
+			suspects: make(map[int]bool),
+		},
 	}
 }
 
@@ -290,7 +318,7 @@ func (s *System) Instances() []*InstanceTrack {
 	for _, t := range s.instances {
 		out = append(out, t)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	slices.SortFunc(out, func(a, b *InstanceTrack) int { return cmp.Compare(a.ID, b.ID) })
 	return out
 }
 
@@ -703,11 +731,19 @@ func (s *System) track(idx int, kps []Keypoint) Status {
 	// not currently flagged as moving — static objects are world structure,
 	// and including them both conditions the solve and couples the camera
 	// frame to the object structure so the two cannot drift apart.
+	sc := &s.tr
 	matchedLabeled := 0
 	matchedUnknown := 0
-	var bgObs []Observation
-	instObs := make(map[int][]Observation)
-	matchedPts := make([]*MapPoint, len(kps))
+	bgObs := sc.bgObs[:0]
+	instObs := sc.instObs
+	for id, obs := range instObs {
+		instObs[id] = obs[:0]
+	}
+	if cap(sc.matchedPts) < len(kps) {
+		sc.matchedPts = make([]*MapPoint, len(kps))
+	}
+	matchedPts := sc.matchedPts[:len(kps)]
+	clear(matchedPts)
 	for i := range kps {
 		mp := s.world.ByDescriptor(kps[i].Descriptor)
 		if mp == nil {
@@ -741,20 +777,23 @@ func (s *System) track(idx int, kps []Keypoint) Status {
 	// Observation order feeds least-squares accumulators, so every loop over
 	// instObs walks instance IDs in sorted order — map-iteration order would
 	// perturb the solved poses in the last ulps and diverge runs.
-	instOrder := make([]int, 0, len(instObs))
-	for instID := range instObs {
-		instOrder = append(instOrder, instID)
+	instOrder := sc.instOrder[:0]
+	for instID, obs := range instObs {
+		if len(obs) > 0 {
+			instOrder = append(instOrder, instID)
+		}
 	}
 	sort.Ints(instOrder)
+	sc.bgObs, sc.instOrder = bgObs, instOrder
 
 	// First camera solve: background + unflagged instances.
-	camObs := make([]Observation, 0, len(bgObs)+64)
-	camObs = append(camObs, bgObs...)
+	camObs := append(sc.camObs[:0], bgObs...)
 	for _, instID := range instOrder {
 		if inst := s.instances[instID]; inst != nil && !inst.Moving {
 			camObs = append(camObs, instObs[instID]...)
 		}
 	}
+	sc.camObs = camObs
 	res, err := OptimizePose(s.cfg.Camera, camObs, s.CurrentPose(), 10)
 	if err != nil {
 		s.state = StatusRelocalizing
@@ -772,22 +811,30 @@ func (s *System) track(idx int, kps []Keypoint) Status {
 	// evaluated the same way normalizes out global map drift and camera
 	// jitter. Suspects are re-solved out of the camera pose and feed the
 	// Moving votes.
-	suspects := make(map[int]bool)
+	suspects := sc.suspects
+	clear(suspects)
 	if len(s.posSnapshots) > 0 {
 		then := s.posSnapshots[0]
+		// agedObs fills the one aged-observation buffer: each use is done
+		// with it before the next call.
 		agedObs := func(ids []int, kpix []geom.Vec2) []Observation {
-			obs := make([]Observation, 0, len(ids))
+			obs := sc.aged[:0]
 			for k, pid := range ids {
 				if old, ok := then[pid]; ok {
 					obs = append(obs, Observation{Point: old, Pixel: kpix[k]})
 				}
 			}
+			sc.aged = obs
 			return obs
 		}
-		var bgIDs, instIDsAll []int
-		var bgPix []geom.Vec2
-		instKp := make(map[int][]geom.Vec2)
-		instIDs := make(map[int][]int)
+		bgIDs, bgPix := sc.bgIDs[:0], sc.bgPix[:0]
+		instKp, instIDs := sc.instKp, sc.instIDs
+		for id, kp := range instKp {
+			instKp[id] = kp[:0]
+		}
+		for id, ids := range instIDs {
+			instIDs[id] = ids[:0]
+		}
 		for i, mp := range matchedPts {
 			if mp == nil {
 				continue
@@ -800,7 +847,7 @@ func (s *System) track(idx int, kps []Keypoint) Status {
 				bgPix = append(bgPix, kps[i].Pixel)
 			}
 		}
-		_ = instIDsAll
+		sc.bgIDs, sc.bgPix = bgIDs, bgPix
 		bgAged := agedObs(bgIDs, bgPix)
 		// Solve the current camera pose IN THE OLD GAUGE: fit it to the
 		// background structure as it was a window ago. In that frame of
@@ -809,7 +856,7 @@ func (s *System) track(idx int, kps []Keypoint) Status {
 		// physically moved cannot be reconciled — no amount of structure
 		// smearing or camera drag in the current gauge can hide it.
 		if agedPose, err := OptimizePose(s.cfg.Camera, bgAged, rec.TCW, 8); err == nil {
-			norm := math.Max(medianResidual(s.cfg.Camera, agedPose.Pose, bgAged), 1)
+			norm := math.Max(sc.medianResidual(s.cfg.Camera, agedPose.Pose, bgAged), 1)
 			for _, instID := range instOrder {
 				inst := s.instances[instID]
 				if inst == nil || inst.Moving {
@@ -819,7 +866,7 @@ func (s *System) track(idx int, kps []Keypoint) Status {
 				if len(aged) < minObservationsForPose {
 					continue
 				}
-				med := medianResidual(s.cfg.Camera, agedPose.Pose, aged)
+				med := sc.medianResidual(s.cfg.Camera, agedPose.Pose, aged)
 				// The background norm guards against global gauge noise,
 				// but its own drift must not let a strongly inconsistent
 				// object hide behind a noisy frame: cap its influence.
@@ -840,6 +887,7 @@ func (s *System) track(idx int, kps []Keypoint) Status {
 				camObs = append(camObs, instObs[instID]...)
 			}
 		}
+		sc.camObs = camObs
 		if res2, err2 := OptimizePose(s.cfg.Camera, camObs, rec.TCW, 10); err2 == nil {
 			rec.TCW = res2.Pose
 		}
@@ -907,17 +955,23 @@ func (s *System) track(idx int, kps []Keypoint) Status {
 	s.localBundleAdjustment()
 
 	// Snapshot the matched points' positions (after the local BA sweep) for
-	// the differential drift statistic of the motion detector.
-	snap := make(map[int]geom.Vec3, len(matchedPts))
+	// the differential drift statistic of the motion detector. Once the
+	// ring is full, the oldest snapshot's map is cleared and reused.
+	var snap map[int]geom.Vec3
+	if n := len(s.posSnapshots); n > s.cfg.MovingWindow {
+		snap = s.posSnapshots[0]
+		clear(snap)
+		copy(s.posSnapshots, s.posSnapshots[1:])
+		s.posSnapshots = s.posSnapshots[:n-1]
+	} else {
+		snap = make(map[int]geom.Vec3, len(matchedPts))
+	}
 	for _, mp := range matchedPts {
 		if mp != nil {
 			snap[mp.ID] = mp.Pos
 		}
 	}
 	s.posSnapshots = append(s.posSnapshots, snap)
-	if len(s.posSnapshots) > s.cfg.MovingWindow+1 {
-		s.posSnapshots = s.posSnapshots[1:]
-	}
 
 	s.state = StatusTracking
 	return s.state
@@ -1408,11 +1462,11 @@ func AlignScale(a, b []geom.Pose) float64 {
 
 // medianResidual returns the median reprojection distance (px) of the
 // observations under the pose.
-func medianResidual(cam geom.Camera, pose geom.Pose, obs []Observation) float64 {
+func (sc *trackScratch) medianResidual(cam geom.Camera, pose geom.Pose, obs []Observation) float64 {
 	if len(obs) == 0 {
 		return 0
 	}
-	ds := make([]float64, 0, len(obs))
+	ds := sc.ds[:0]
 	for _, o := range obs {
 		px, err := cam.ProjectWorld(pose, o.Point)
 		if err != nil {
@@ -1422,6 +1476,7 @@ func medianResidual(cam geom.Camera, pose geom.Pose, obs []Observation) float64 
 		ds = append(ds, px.DistTo(o.Pixel))
 	}
 	sort.Float64s(ds)
+	sc.ds = ds
 	return ds[len(ds)/2]
 }
 
