@@ -5,7 +5,7 @@ BENCHTIME ?= 200ms
 WORKLOAD ?= edge-burst
 SECONDS ?= 5
 
-.PHONY: build test short race vet lint fuzz bench kernelbench e2ebench loadgen servingbench loc check idle
+.PHONY: build test short race cpu1 vet lint fuzz bench kernelbench e2ebench loadgen servingbench loc check idle
 
 build: ## Compile every package and binary.
 	$(GO) build ./...
@@ -18,6 +18,9 @@ short: ## Run the suite without the long integration sweeps.
 
 race: ## Full suite under the race detector (slow; the heaviest sweeps self-skip). Includes the multi-client edge-scheduler tests, which are occupancy-bound so their scaling assertions hold under -race. The loadgen drive tests run a shortened smoke profile (see raceProfile) so their wall-clock pacing stays bounded.
 	$(GO) test -race ./...
+
+cpu1: ## The edge scheduler's tests on one CPU, three times: a test that needs goroutines to interleave fails here.
+	$(GO) test -cpu 1 -count=3 ./internal/edge/
 
 vet: ## Standard static analysis.
 	$(GO) vet ./...
@@ -59,7 +62,7 @@ loc: ## Non-test / test Go lines per package (wc -l), the size figure simplifica
 		printf '%6d %6d  %s\n' $$n $$t $$pkg; \
 	done | awk '{n+=$$1; t+=$$2; print} END {printf "%6d %6d  total (non-test, test)\n", n, t}'
 
-check: vet lint build test race ## Everything CI runs, in order.
+check: vet lint build test cpu1 race ## Everything CI runs, in order.
 
 idle: ## Hand-in check: fails, listing them, if any edgeis-* binary, Go test binary, go/gopls front end, `go run` child (built under a go-build work dir), Go toolchain tool ($GOROOT/pkg/tool) or binary built into this checkout is still running (matches executable paths, so never itself or an argument).
 	@! ls -l /proc/[0-9]*/exe 2>/dev/null | sed 's/ (deleted)$$//' | grep -E \

@@ -146,7 +146,7 @@ type kernelCase struct {
 // fixtures builds the shared packed/scalar operand pair: a centered solid
 // rectangle (the shape cached instance masks approximate) and a translated
 // copy, plus the polygon the tracking hot path actually rasterizes — a
-// traced contour simplified to the predictor's MaxContourPoints budget.
+// traced contour simplified to the predictor's 160-point contour budget.
 func fixtures(w, h int) (a, b *mask.Bitmask, sa, sb *mask.Scalar, poly []geom.Vec2) {
 	sa = mask.NewScalar(w, h)
 	for y := h / 4; y < 3*h/4; y++ {

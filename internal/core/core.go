@@ -39,33 +39,21 @@ type Config struct {
 	Device device.Profile
 	Seed   int64
 
-	VO       vo.Config
 	Transfer transfer.Config
 	Selector roisel.Config
 
 	// DisableGuidance turns CIIA off (edge runs the vanilla model) — the
 	// "w/o CIIA" ablation.
 	DisableGuidance bool
-	// DisableCFRS turns content-based selection off: keyframes ship on a
-	// fixed cadence at uniform high quality — the "w/o CFRS" ablation.
+	// DisableCFRS turns content-based selection off: keyframes ship every
+	// fixedKeyframeInterval frames at uniform high quality — the "w/o CFRS"
+	// ablation.
 	DisableCFRS bool
-	// KeyframeInterval is the fixed cadence used when CFRS is disabled
-	// (default 10 frames).
-	KeyframeInterval int
 }
 
-func (c *Config) applyDefaults() {
-	if c.Device.Name == "" {
-		c.Device = device.IPhone11
-	}
-	if c.VO.Camera.Width == 0 {
-		c.VO.Camera = c.Camera
-		c.VO.Seed = c.Seed
-	}
-	if c.KeyframeInterval == 0 {
-		c.KeyframeInterval = 10
-	}
-}
+// fixedKeyframeInterval is the offload cadence in frames when CFRS is
+// disabled.
+const fixedKeyframeInterval = 10
 
 // SessionStats counts session-level events for observability.
 type SessionStats struct {
@@ -138,11 +126,13 @@ var _ pipeline.Strategy = (*System)(nil)
 
 // NewSystem builds the edgeIS runtime.
 func NewSystem(cfg Config) *System {
-	cfg.applyDefaults()
+	if cfg.Device.Name == "" {
+		cfg.Device = device.IPhone11
+	}
 	pool := mask.NewPool()
 	s := &System{
 		cfg:         cfg,
-		vo:          vo.NewSystem(cfg.VO),
+		vo:          vo.NewSystem(vo.Config{Camera: cfg.Camera, Seed: cfg.Seed}),
 		pred:        transfer.NewPredictor(cfg.Camera, cfg.Transfer),
 		sel:         roisel.NewSelector(cfg.Selector),
 		grid:        codec.NewGrid(cfg.Camera.Width, cfg.Camera.Height),

@@ -246,7 +246,7 @@ func (s *System) stageNewAreas(f *scene.Frame, ts *trackingState) {
 // CFRS is ablated away).
 func (s *System) stageDecide(ts *trackingState) bool {
 	if s.cfg.DisableCFRS {
-		return s.framesSinceKeyframe >= s.cfg.KeyframeInterval
+		return s.framesSinceKeyframe >= fixedKeyframeInterval
 	}
 	offload, _ := s.sel.Decide(ts.fs)
 	return offload

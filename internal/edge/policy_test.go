@@ -117,51 +117,101 @@ func TestLatestWinsShedsStaleFrame(t *testing.T) {
 	}
 }
 
+// gatedSleepAccel holds every inference until gate closes, then sleeps d.
+type gatedSleepAccel struct {
+	gate <-chan struct{}
+	d    time.Duration
+}
+
+func (a gatedSleepAccel) Run(segmodel.Input, segmodel.Guidance) (*segmodel.Result, float64) {
+	<-a.gate
+	time.Sleep(a.d)
+	return &segmodel.Result{BackboneMs: 10}, 10
+}
+
 // TestLatestWinsUnderChurn floods a latest-wins scheduler from many
 // goroutines per session while sessions churn (run under -race via make
 // check); conservation must hold when the dust settles.
+//
+// A rejected Infer returns at once, so a submitter can burn every offer as a
+// rejection while other sessions' frames fill the queue, and latest-wins
+// then never finds a frame of its own session to shed. The flood therefore
+// starts only once the accelerators are held busy and the full queue holds
+// one frame of every session: each of the flood's first offers sheds.
 func TestLatestWinsUnderChurn(t *testing.T) {
-	s := NewScheduler(Config{Workers: 2, QueueDepth: 4, Admission: LatestWins{},
-		NewAccelerator: func(int) Accelerator { return sleepAccel{100 * time.Microsecond} }})
-	defer func() { _ = s.Close() }()
-
 	const sessions, submitters, perSubmitter = 4, 3, 150
+	const workers, depth = 2, 4
+	gate := make(chan struct{})
+	s := NewScheduler(Config{Workers: workers, QueueDepth: depth, Admission: LatestWins{},
+		NewAccelerator: func(int) Accelerator { return gatedSleepAccel{gate, 100 * time.Microsecond} }})
+	defer func() { _ = s.Close() }()
+	var openGate sync.Once
+	defer openGate.Do(func() { close(gate) }) // runs before Close on an early return
+
 	var offered, served, rejected, shed atomic.Int64
+	// release[i][g] starts submitter g of session i.
+	release := make([][]chan struct{}, sessions)
 	var wg sync.WaitGroup
 	for i := 0; i < sessions; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sess := s.NewSession("churn")
-			defer sess.Close()
-			var inner sync.WaitGroup
-			for g := 0; g < submitters; g++ {
-				inner.Add(1)
-				go func() {
-					defer inner.Done()
-					for n := 0; n < perSubmitter; n++ {
-						offered.Add(1)
-						_, _, err := sess.Infer(segmodel.Input{Seed: int64(i)}, nil)
-						switch {
-						case err == nil:
-							served.Add(1)
-						case errors.Is(err, ErrQueueFull):
-							rejected.Add(1)
-						case errors.Is(err, ErrShed):
-							shed.Add(1)
-						default:
-							t.Errorf("infer: %v", err)
-							return
-						}
+		sess := s.NewSession("churn")
+		release[i] = make([]chan struct{}, submitters)
+		var inner sync.WaitGroup
+		for g := range release[i] {
+			ch := make(chan struct{})
+			release[i][g] = ch
+			inner.Add(1)
+			go func() {
+				defer inner.Done()
+				<-ch
+				for n := 0; n < perSubmitter; n++ {
+					offered.Add(1)
+					_, _, err := sess.Infer(segmodel.Input{Seed: int64(i)}, nil)
+					switch {
+					case err == nil:
+						served.Add(1)
+					case errors.Is(err, ErrQueueFull):
+						rejected.Add(1)
+					case errors.Is(err, ErrShed):
+						shed.Add(1)
+					default:
+						t.Errorf("infer: %v", err)
+						return
 					}
-				}()
-			}
+				}
+			}()
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
 			inner.Wait()
 			if ss := sess.Stats(); ss.Pending != 0 {
 				t.Errorf("session %d left %d pending after its submitters drained", i, ss.Pending)
 			}
-		}(i)
+			sess.Close()
+		}()
 	}
+
+	// Prime one submitter at a time: the first two offers occupy the held
+	// accelerators, the next four fill the queue with one frame of every
+	// session.
+	prime := [][2]int{{0, 0}, {1, 0}, {0, 1}, {1, 1}, {2, 0}, {3, 0}} // {session, submitter}
+	for k, p := range prime {
+		close(release[p[0]][p[1]])
+		release[p[0]][p[1]] = nil
+		waitFor(t, "a priming offer", func() bool {
+			st := s.Stats()
+			return st.InFlight == min(k+1, workers) && st.Queued == max(0, k+1-workers)
+		})
+	}
+	for _, chs := range release {
+		for _, ch := range chs {
+			if ch != nil {
+				close(ch)
+			}
+		}
+	}
+	waitFor(t, "the flood's first shed", func() bool { return s.Stats().Shed > 0 })
+	openGate.Do(func() { close(gate) })
 	wg.Wait()
 
 	st := s.Stats()

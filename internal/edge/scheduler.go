@@ -257,7 +257,7 @@ func (s *Scheduler) addSession(key, remote string, resumed bool) *Session {
 }
 
 // QueueSnapshot is the scheduler's instantaneous load signal, cheap enough
-// for a placement layer to poll per decision.
+// to poll in a tight loop.
 type QueueSnapshot struct {
 	// Queued counts admitted requests not yet taken by a worker; InFlight
 	// those on an accelerator right now. Their sum is the backlog a new
@@ -272,8 +272,9 @@ type QueueSnapshot struct {
 // Backlog is the work ahead of a newly admitted request.
 func (q QueueSnapshot) Backlog() int { return q.Queued + q.InFlight }
 
-// QueueSnapshot samples the load signal the load-aware placement policy
-// feeds on. It takes the scheduler lock briefly; no allocation.
+// QueueSnapshot samples the load signal. The loadgen drivers poll it to
+// time a scheduled replica kill for a moment when the replica holds work.
+// It takes the scheduler lock briefly; no allocation.
 func (s *Scheduler) QueueSnapshot() QueueSnapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()

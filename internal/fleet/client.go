@@ -19,39 +19,17 @@ type Config struct {
 	// resume handshake. Required: without it a surviving replica has no
 	// name under which to adopt the session.
 	SessionKey string
-	// DialTimeout bounds each dial and the resume handshake (default 2s).
-	DialTimeout time.Duration
-	// DialAttempts and DialBackoff parameterize transport.DialRetry per
-	// replica: attempts tries with exponential backoff starting at
-	// DialBackoff (defaults 3 and 50ms). A replica that stays unreachable
-	// through the retry budget is marked down and placement moves on.
-	DialAttempts int
-	DialBackoff  time.Duration
-	// Policy decides which alive replica serves the session (default
-	// Rendezvous{}).
-	Policy Policy
-	// ClientOptions are extra per-connection transport options (send queue
-	// depth, write timeout). The resume option is appended by the fleet
-	// client itself.
-	ClientOptions []transport.ClientOption
 }
 
-func (c *Config) withDefaults() Config {
-	cfg := *c
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 2 * time.Second
-	}
-	if cfg.DialAttempts < 1 {
-		cfg.DialAttempts = 3
-	}
-	if cfg.DialBackoff <= 0 {
-		cfg.DialBackoff = 50 * time.Millisecond
-	}
-	if cfg.Policy == nil {
-		cfg.Policy = Rendezvous{}
-	}
-	return cfg
-}
+// The dial budget per replica: transport.DialRetry makes dialAttempts
+// tries, each bounded (with the resume handshake) by dialTimeout, with
+// exponential backoff starting at dialBackoff. A replica that stays
+// unreachable through the budget is marked down and placement moves on.
+const (
+	dialTimeout  = 2 * time.Second
+	dialAttempts = 5
+	dialBackoff  = 20 * time.Millisecond
+)
 
 // Stats is the fleet client's frame accounting — FleetClient.Ledger with the
 // buckets named at this boundary (Sent is offered, Delivered served,
@@ -123,7 +101,7 @@ func DialFleet(cfg Config) (*FleetClient, error) {
 		return nil, fmt.Errorf("fleet: session key required")
 	}
 	fc := &FleetClient{
-		cfg:     cfg.withDefaults(),
+		cfg:     cfg,
 		results: make(chan *transport.ResultMsg, 16),
 		done:    make(chan struct{}),
 		down:    make(map[string]bool, len(cfg.Addrs)),
@@ -151,11 +129,9 @@ func (fc *FleetClient) dialPlaced() (*transport.Client, string, error) {
 			return nil, "", fmt.Errorf("fleet: session %s: all %d replicas down",
 				fc.cfg.SessionKey, len(fc.cfg.Addrs))
 		}
-		addr := fc.cfg.Policy.Pick(fc.cfg.SessionKey, alive)
-		opts := append(append([]transport.ClientOption(nil), fc.cfg.ClientOptions...),
+		addr := Rendezvous(fc.cfg.SessionKey, alive)
+		c, err := transport.DialRetry(addr, dialTimeout, dialAttempts, dialBackoff,
 			transport.WithResume(fc.cfg.SessionKey, epoch))
-		c, err := transport.DialRetry(addr, fc.cfg.DialTimeout,
-			fc.cfg.DialAttempts, fc.cfg.DialBackoff, opts...)
 		if err != nil {
 			fc.mu.Lock()
 			fc.down[addr] = true

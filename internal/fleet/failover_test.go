@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -82,7 +83,7 @@ func TestFleetClientFailover(t *testing.T) {
 
 	addrs := []string{addrA.String(), addrB.String()}
 	byAddr := map[string]*transport.Server{addrs[0]: srvA, addrs[1]: srvB}
-	firstAddr := Rendezvous{}.Pick(key, addrs)
+	firstAddr := Rendezvous(key, addrs)
 	first := byAddr[firstAddr]
 	var second *transport.Server
 	for a, s := range byAddr {
@@ -91,8 +92,7 @@ func TestFleetClientFailover(t *testing.T) {
 		}
 	}
 
-	fc, err := DialFleet(Config{Addrs: addrs, SessionKey: key,
-		DialAttempts: 5, DialBackoff: 20 * time.Millisecond})
+	fc, err := DialFleet(Config{Addrs: addrs, SessionKey: key})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,6 @@ func TestFleetClientFailover(t *testing.T) {
 // Migrated bucket — the conservation law's answer to "a replica died with
 // my frames queued".
 func TestFleetClientInFlightLossAccounted(t *testing.T) {
-	const key = "fleet-e2e-2"
 	// The doomed replica accepts frames but serves them slowly enough
 	// (full wall occupancy: each inference holds the accelerator for its
 	// modelled latency) that a burst is still in flight when it dies.
@@ -200,21 +199,17 @@ func TestFleetClientInFlightLossAccounted(t *testing.T) {
 	}
 	defer func() { _ = healthy.Close() }()
 
-	// Steer initial placement onto the slow replica regardless of the
-	// hash: the healthy one reports as loaded.
-	p := LoadAware{Probe: func(addr string) (int, bool) {
-		if addr == addrOK.String() {
-			return 100, true
+	// Placement hashes the session key over the (ephemeral) addresses:
+	// pick a key that the slow replica owns.
+	addrs := []string{addrSlow.String(), addrOK.String()}
+	var key string
+	for i := 0; ; i++ {
+		key = fmt.Sprintf("fleet-e2e-2-%d", i)
+		if Rendezvous(key, addrs) == addrs[0] {
+			break
 		}
-		return 0, true
-	}}
-	fc, err := DialFleet(Config{
-		Addrs:        []string{addrSlow.String(), addrOK.String()},
-		SessionKey:   key,
-		Policy:       p,
-		DialAttempts: 5,
-		DialBackoff:  20 * time.Millisecond,
-	})
+	}
+	fc, err := DialFleet(Config{Addrs: addrs, SessionKey: key})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +252,9 @@ func TestFleetClientInFlightLossAccounted(t *testing.T) {
 // with nobody reading, the fleet's 16-slot results channel fills, the pump
 // holds the 17th result and the connection's own channel buffers the rest.
 // Close drops all of those; Delivered must be what a consumer can still
-// drain, and the others ConnLost.
+// drain, and the others ConnLost. The connection's default send queue is
+// 16 frames too, so a frame it refuses is offered again once the writer
+// has drained it.
 func TestFleetDeliveredMeansHandedOver(t *testing.T) {
 	srv := transport.NewServer(segmodel.New(segmodel.YOLACT), transport.WithConnPipeline(8))
 	addr, err := srv.Listen("127.0.0.1:0")
@@ -265,19 +262,13 @@ func TestFleetDeliveredMeansHandedOver(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = srv.Close() }()
-	fc, err := DialFleet(Config{
-		Addrs:         []string{addr.String()},
-		SessionKey:    "fleet-handover",
-		ClientOptions: []transport.ClientOption{transport.WithSendQueue(64)},
-	})
+	fc, err := DialFleet(Config{Addrs: []string{addr.String()}, SessionKey: "fleet-handover"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	const frames = 24
 	for i := 0; i < frames; i++ {
-		if !fc.Send(testFrame(i)) {
-			t.Fatalf("Send(%d) refused", i)
-		}
+		sendUntilAccepted(t, fc, testFrame(i))
 	}
 	waitFor(t, "a result held mid-hand-over", func() bool {
 		return fc.Stats().Delivered >= cap(fc.results)+1
@@ -303,13 +294,7 @@ func TestFleetDeliveredMeansHandedOver(t *testing.T) {
 
 // TestDialFleetAllDown: a fleet with no reachable replica fails cleanly.
 func TestDialFleetAllDown(t *testing.T) {
-	_, err := DialFleet(Config{
-		Addrs:        []string{"127.0.0.1:1", "127.0.0.1:2"},
-		SessionKey:   "nobody-home",
-		DialTimeout:  200 * time.Millisecond,
-		DialAttempts: 1,
-		DialBackoff:  time.Millisecond,
-	})
+	_, err := DialFleet(Config{Addrs: []string{"127.0.0.1:1", "127.0.0.1:2"}, SessionKey: "nobody-home"})
 	if err == nil {
 		t.Fatal("DialFleet succeeded against a dead fleet")
 	}

@@ -5,12 +5,9 @@
 // the session identity and rebuilds the feature cache (forced keyframe on
 // the first post-migration frame).
 //
-// Placement is policy-driven, mirroring the scheduler's admission/dequeue
-// split: the default Rendezvous policy hashes the session key over the
-// replica set (stable, coordination-free — every client that shares the
-// address list agrees on the owner), and LoadAware layers queue-depth
-// awareness on top of it, steering new placements away from backlogged
-// replicas while keeping the hash as the deterministic tie-breaker.
+// Placement is rendezvous hashing of the session key over the replica set:
+// stable and coordination-free — every client that shares the address list
+// agrees on the owner.
 package fleet
 
 import (
@@ -18,25 +15,15 @@ import (
 	"io"
 )
 
-// Policy picks the serving replica for a session from the alive subset of
-// the fleet. alive is never empty and preserves the fleet's configured
-// address order. Picks must be deterministic for a given (key, alive, load)
-// observation so independent resolvers agree without coordination.
-type Policy interface {
-	Pick(sessionKey string, alive []string) string
-}
-
-// Rendezvous is highest-random-weight (HRW) placement: each replica scores
-// hash(key, addr) and the highest score owns the session. Unlike a ring
-// with virtual nodes it needs no shared state beyond the address list, and
-// removing a replica remaps only the sessions that replica owned — the
-// minimal-disruption property failover depends on.
-type Rendezvous struct{}
-
-// Pick returns the alive replica with the highest rendezvous score for the
-// session. Score ties (vanishingly rare with a 64-bit hash) break toward
-// the lexically smallest address so the choice stays total.
-func (Rendezvous) Pick(sessionKey string, alive []string) string {
+// Rendezvous is highest-random-weight (HRW) placement: each alive replica
+// scores hash(key, addr) and the highest score owns the session. alive is
+// never empty and preserves the fleet's configured address order. Unlike a
+// ring with virtual nodes it needs no shared state beyond the address list,
+// and removing a replica remaps only the sessions that replica owned — the
+// minimal-disruption property failover depends on. Score ties (vanishingly
+// rare with a 64-bit hash) break toward the lexically smallest address so
+// the choice stays total.
+func Rendezvous(sessionKey string, alive []string) string {
 	best, bestScore := "", uint64(0)
 	for _, addr := range alive {
 		s := hrwScore(sessionKey, addr)
@@ -73,60 +60,4 @@ func mix64(x uint64) uint64 {
 	x *= 0xc4ceb9fe1a85ec53
 	x ^= x >> 33
 	return x
-}
-
-// LoadAware places sessions on the least-backlogged alive replica, fed by
-// the scheduler's queue-depth snapshots (edge.QueueSnapshot.Backlog via the
-// Probe). The rendezvous hash stays in charge twice over: the hash-owned
-// replica keeps the session as long as its backlog is within Slack of the
-// minimum (placement stickiness — cache locality is worth a little queue
-// imbalance), and among equally-loaded replicas the hash breaks the tie so
-// concurrent resolvers still agree.
-type LoadAware struct {
-	// Probe reports a replica's current backlog (queued + in-flight
-	// frames). ok=false means the replica could not be observed; it is
-	// then treated as idle rather than excluded — an unobservable replica
-	// is usually one that just started, not one that is drowning.
-	Probe func(addr string) (backlog int, ok bool)
-	// Slack is the backlog advantage a replica must have before it steals
-	// a placement from the hash-preferred owner. Zero means any imbalance
-	// moves the session.
-	Slack int
-}
-
-// Pick returns the least-backlogged alive replica, keeping the
-// hash-preferred owner when its backlog is within Slack of the minimum.
-func (p LoadAware) Pick(sessionKey string, alive []string) string {
-	owner := Rendezvous{}.Pick(sessionKey, alive)
-	if p.Probe == nil {
-		return owner
-	}
-	load := func(addr string) int {
-		if b, ok := p.Probe(addr); ok {
-			return b
-		}
-		return 0
-	}
-	min := load(alive[0])
-	for _, addr := range alive[1:] {
-		if b := load(addr); b < min {
-			min = b
-		}
-	}
-	if load(owner) <= min+p.Slack {
-		return owner
-	}
-	// The owner is overloaded: move to the least-backlogged replica,
-	// rendezvous-ordered among equals so the pick stays deterministic.
-	best, bestScore := "", uint64(0)
-	for _, addr := range alive {
-		if load(addr) != min {
-			continue
-		}
-		s := hrwScore(sessionKey, addr)
-		if best == "" || s > bestScore || (s == bestScore && addr < best) {
-			best, bestScore = addr, s
-		}
-	}
-	return best
 }

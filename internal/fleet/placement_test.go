@@ -19,11 +19,10 @@ func keys(n int) []string {
 // (key, alive) and spreads sessions over every replica — the property that
 // makes an address list the only coordination a fleet needs.
 func TestRendezvousDeterministicAndCovering(t *testing.T) {
-	var p Rendezvous
 	seen := map[string]int{}
 	for _, k := range keys(300) {
-		a := p.Pick(k, threeReplicas)
-		if b := p.Pick(k, threeReplicas); b != a {
+		a := Rendezvous(k, threeReplicas)
+		if b := Rendezvous(k, threeReplicas); b != a {
 			t.Fatalf("pick(%q) unstable: %q then %q", k, a, b)
 		}
 		seen[a]++
@@ -44,13 +43,12 @@ func TestRendezvousDeterministicAndCovering(t *testing.T) {
 // property failover leans on, so a replica death does not reshuffle (and
 // cold-cache) the whole fleet.
 func TestRendezvousMinimalDisruption(t *testing.T) {
-	var p Rendezvous
 	dead := threeReplicas[2]
 	survivors := threeReplicas[:2]
 	moved := 0
 	for _, k := range keys(300) {
-		before := p.Pick(k, threeReplicas)
-		after := p.Pick(k, survivors)
+		before := Rendezvous(k, threeReplicas)
+		after := Rendezvous(k, survivors)
 		if before != dead {
 			if after != before {
 				t.Fatalf("key %q moved %s -> %s though its replica survived", k, before, after)
@@ -64,61 +62,5 @@ func TestRendezvousMinimalDisruption(t *testing.T) {
 	}
 	if moved == 0 {
 		t.Fatal("no keys were owned by the dead replica; test proves nothing")
-	}
-}
-
-// TestLoadAware: the hash owner keeps the session within Slack, loses it
-// to the least-backlogged replica beyond Slack, and the choice stays
-// deterministic so independent resolvers agree.
-func TestLoadAware(t *testing.T) {
-	key := "session-7"
-	owner := Rendezvous{}.Pick(key, threeReplicas)
-	var other string
-	for _, a := range threeReplicas {
-		if a != owner {
-			other = a
-			break
-		}
-	}
-	backlog := map[string]int{}
-	probe := func(addr string) (int, bool) { b, ok := backlog[addr]; return b, ok }
-
-	p := LoadAware{Probe: probe, Slack: 2}
-	// Idle fleet: hash owner wins.
-	if got := p.Pick(key, threeReplicas); got != owner {
-		t.Fatalf("idle pick = %q, want owner %q", got, owner)
-	}
-	// Owner within slack of the minimum: stickiness holds.
-	backlog[owner] = 2
-	if got := p.Pick(key, threeReplicas); got != owner {
-		t.Fatalf("within-slack pick = %q, want owner %q", got, owner)
-	}
-	// Owner beyond slack: session moves to a least-loaded replica.
-	backlog[owner] = 10
-	got := p.Pick(key, threeReplicas)
-	if got == owner {
-		t.Fatalf("overloaded owner %q kept the session", owner)
-	}
-	if backlog[got] != 0 {
-		t.Fatalf("moved to %q with backlog %d, want an idle replica", got, backlog[got])
-	}
-	if again := p.Pick(key, threeReplicas); again != got {
-		t.Fatalf("overloaded pick unstable: %q then %q", got, again)
-	}
-	// Everyone overloaded equally: owner keeps it (no pointless churn).
-	for _, a := range threeReplicas {
-		backlog[a] = 50
-	}
-	if got := p.Pick(key, threeReplicas); got != owner {
-		t.Fatalf("uniform-load pick = %q, want owner %q", got, owner)
-	}
-	// Unprobed replicas read as idle, so a fresh replica can take load.
-	backlog = map[string]int{owner: 10, other: 10}
-	if got := p.Pick(key, threeReplicas); got == owner || got == other {
-		t.Fatalf("pick = %q, want the unprobed (fresh) replica", got)
-	}
-	// Nil probe degrades to pure rendezvous.
-	if got := (LoadAware{}).Pick(key, threeReplicas); got != owner {
-		t.Fatalf("nil-probe pick = %q, want owner %q", got, owner)
 	}
 }

@@ -364,13 +364,7 @@ func RunTCP(p loadgen.Profile, opts Options) (*loadgen.SLO, error) {
 		fleetWg.Add(1)
 		go func(i int) {
 			defer fleetWg.Done()
-			fc, err := fleet.DialFleet(fleet.Config{
-				Addrs:        addrs,
-				SessionKey:   p.SessionKey(i),
-				DialTimeout:  2 * time.Second,
-				DialAttempts: 5,
-				DialBackoff:  20 * time.Millisecond,
-			})
+			fc, err := fleet.DialFleet(fleet.Config{Addrs: addrs, SessionKey: p.SessionKey(i)})
 			if err != nil {
 				sessErrs[i] = err
 				return

@@ -140,11 +140,8 @@ type Profile struct {
 	DurationMs float64 `json:"duration_ms"`
 	// FPS is the nominal per-session offload rate.
 	FPS float64 `json:"fps"`
-	// Arrival selects the arrival process; BurstLen/BurstGapMs tune Bursty
-	// and RampFactor tunes Ramp.
+	// Arrival selects the arrival process; RampFactor tunes Ramp.
 	Arrival    ArrivalKind `json:"arrival"`
-	BurstLen   int         `json:"burst_len,omitempty"`
-	BurstGapMs float64     `json:"burst_gap_ms,omitempty"`
 	RampFactor float64     `json:"ramp_factor,omitempty"`
 	// Links and Clips are the session mixes: session i uses Links[i%len]
 	// and Clips[i%len], a deterministic round-robin assignment.
@@ -266,7 +263,7 @@ func (p Profile) PlaceSession(i int, alive []int) int {
 		names[j] = ReplicaName(r)
 		byName[names[j]] = r
 	}
-	return byName[fleet.Rendezvous{}.Pick(p.SessionKey(i), names)]
+	return byName[fleet.Rendezvous(p.SessionKey(i), names)]
 }
 
 // KeyframePolicy maps the profile onto the serving stack's skip-compute
@@ -298,12 +295,6 @@ func (p Profile) withDefaults() Profile {
 	}
 	if p.Arrival == "" {
 		p.Arrival = Steady
-	}
-	if p.BurstLen <= 0 {
-		p.BurstLen = 8
-	}
-	if p.BurstGapMs <= 0 {
-		p.BurstGapMs = 4 * 1000 / p.FPS
 	}
 	if p.RampFactor <= 1 {
 		p.RampFactor = 4
@@ -342,13 +333,19 @@ func (p Profile) withDefaults() Profile {
 	return p
 }
 
+// A Bursty session offers burstLen frames at four times its nominal rate,
+// then idles for burstGapPeriods nominal periods, jittered by ±50 %.
+const (
+	burstLen        = 8
+	burstGapPeriods = 4
+)
+
 // arrivalGen produces one session's offload generation times.
 type arrivalGen struct {
 	kind       ArrivalKind
 	periodMs   float64
 	horizonMs  float64
 	rampFactor float64
-	burstLen   int
 	burstGapMs float64
 	inBurst    int
 	rng        *rand.Rand
@@ -360,8 +357,7 @@ func newArrivalGen(p Profile, rng *rand.Rand) *arrivalGen {
 		periodMs:   1000 / p.FPS,
 		horizonMs:  p.DurationMs,
 		rampFactor: p.RampFactor,
-		burstLen:   p.BurstLen,
-		burstGapMs: p.BurstGapMs,
+		burstGapMs: burstGapPeriods * 1000 / p.FPS,
 		rng:        rng,
 	}
 }
@@ -372,7 +368,7 @@ func (g *arrivalGen) next(now float64) float64 {
 	switch g.kind {
 	case Bursty:
 		g.inBurst++
-		if g.inBurst >= g.burstLen {
+		if g.inBurst >= burstLen {
 			g.inBurst = 0
 			// Idle gap, jittered so bursts desynchronize across sessions.
 			return g.burstGapMs * (0.5 + g.rng.Float64())

@@ -207,7 +207,7 @@ func TestArrivalProcessShapes(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		iv := bursty.next(now)
 		now += iv
-		if iv > b.BurstGapMs/4 {
+		if iv > bursty.burstGapMs/4 {
 			gaps++
 		} else if iv == 125 { // periodMs/4
 			dense++

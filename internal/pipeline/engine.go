@@ -80,18 +80,10 @@ type Config struct {
 	Frames     int
 	// CameraSpeed feeds the extractor's motion-blur model (m/s).
 	CameraSpeed float64
-	// Extractor configuration; zero value uses feature.DefaultConfig.
-	FeatureConfig feature.Config
 	// Network medium for both directions (simulated backend only).
 	Medium netsim.Medium
-	// NetworkProfile, when non-nil, overrides the medium's default link
-	// parameters — failure-injection tests degrade it.
-	NetworkProfile *netsim.Profile
-	// EdgeModel is the server-side model (typically Mask R-CNN). The
-	// engine runs it from its own goroutine; engines running at once need
-	// a model each (segmodel.Model is not safe for concurrent use).
-	EdgeModel *segmodel.Model
-	// EdgeInferScale multiplies inference latency (device.Profile.InferScale).
+	// EdgeInferScale multiplies inference latency (device.Profile.InferScale);
+	// zero means 1.
 	EdgeInferScale float64
 	// EdgeKeyframe enables the simulated edge's temporal-redundancy
 	// skip-compute (simulated backend only): non-keyframes warp the cached
@@ -101,8 +93,8 @@ type Config struct {
 	// Seed drives all stochastic components.
 	Seed int64
 	// Backend overrides the edge serving the run. Nil builds the default
-	// simulated backend from Medium/NetworkProfile/EdgeModel/Seed; a live
-	// TCP adapter plugs in here.
+	// simulated backend — Mask R-CNN behind the Medium's default link —
+	// from Seed; a degraded link or a live TCP adapter plugs in here.
 	Backend EdgeBackend
 	// OnFrame, when non-nil, observes each frame's eval as its display
 	// deadline resolves — progress reporting and wall-clock pacing hook.
@@ -174,26 +166,11 @@ type Engine struct {
 // NewEngine prepares a run. The frames are pre-rendered so repeated runs
 // (ablations over the same scenario) reuse identical ground truth.
 func NewEngine(cfg Config, strategy Strategy) *Engine {
-	fcfg := cfg.FeatureConfig
-	if fcfg.MaxFeatures == 0 {
-		fcfg = feature.DefaultConfig()
-	}
-	if cfg.EdgeInferScale == 0 {
-		cfg.EdgeInferScale = 1
-	}
-	if cfg.EdgeModel == nil {
-		cfg.EdgeModel = segmodel.New(segmodel.MaskRCNN)
-	}
 	backend := cfg.Backend
 	if backend == nil {
-		profile := netsim.DefaultProfile(cfg.Medium)
-		if cfg.NetworkProfile != nil {
-			profile = *cfg.NetworkProfile
-		}
 		backend = NewSimBackend(SimBackendConfig{
-			Model:      cfg.EdgeModel,
 			InferScale: cfg.EdgeInferScale,
-			Profile:    profile,
+			Profile:    netsim.DefaultProfile(cfg.Medium),
 			Seed:       cfg.Seed,
 			Keyframe:   cfg.EdgeKeyframe,
 		})
@@ -201,7 +178,7 @@ func NewEngine(cfg Config, strategy Strategy) *Engine {
 	e := &Engine{
 		cfg:       cfg,
 		strategy:  strategy,
-		extractor: feature.NewExtractor(cfg.World, cfg.Camera, fcfg, cfg.Seed),
+		extractor: feature.NewExtractor(cfg.World, cfg.Camera, feature.DefaultConfig(), cfg.Seed),
 		frames:    cfg.World.RenderSequence(cfg.Camera, cfg.Trajectory, cfg.Frames),
 		backend:   backend,
 	}

@@ -127,7 +127,7 @@ func TestEngineDegradedNetworkHurtsButDoesNotCrash(t *testing.T) {
 	profile.GoodputMbps = 0.7 // ~starved
 	profile.LossRate = 0.3
 	profile.BaseRTTMs = 120
-	bad.NetworkProfile = &profile
+	bad.Backend = pipeline.NewSimBackend(pipeline.SimBackendConfig{Profile: profile, Seed: bad.Seed})
 	sBad := newEdgeIS(bad)
 	_, badStats := pipeline.NewEngine(bad, sBad).Run()
 

@@ -25,35 +25,24 @@ type Config struct {
 	// NewContentThreshold is t: the unlabeled-feature fraction above which
 	// a frame is offloaded (paper: 0.25).
 	NewContentThreshold float64
-	// MaxKeyframeGap forces an offload after this many frames without an
-	// edge result (default 30, one second at camera rate).
-	MaxKeyframeGap int
-	// MinOffloadGap throttles consecutive offloads (default 5 frames) so
-	// a burst of triggers cannot saturate the uplink.
-	MinOffloadGap int
-	// ContextMargin is the tile margin around object boxes encoded at
-	// medium quality (default 1 tile).
-	ContextMargin int
 	// DisableClusterTrigger turns off the localized new-area trigger,
 	// leaving only the paper's global threshold t — used by the threshold
 	// ablation to isolate t's effect.
 	DisableClusterTrigger bool
 }
 
-func (c *Config) applyDefaults() {
-	if c.NewContentThreshold == 0 {
-		c.NewContentThreshold = 0.25
-	}
-	if c.MaxKeyframeGap == 0 {
-		c.MaxKeyframeGap = 30
-	}
-	if c.MinOffloadGap == 0 {
-		c.MinOffloadGap = 5
-	}
-	if c.ContextMargin == 0 {
-		c.ContextMargin = 1
-	}
-}
+// Selector constants.
+const (
+	// maxKeyframeGap forces an offload after this many frames without an
+	// edge result (one second at camera rate).
+	maxKeyframeGap = 30
+	// minOffloadGap throttles consecutive offloads (frames) so a burst of
+	// triggers cannot saturate the uplink.
+	minOffloadGap = 5
+	// contextMargin is the tile margin around object boxes encoded at
+	// medium quality.
+	contextMargin = 1
+)
 
 // FrameState is what the selector inspects each frame.
 type FrameState struct {
@@ -118,7 +107,9 @@ type Selector struct {
 
 // NewSelector builds a selector.
 func NewSelector(cfg Config) *Selector {
-	cfg.applyDefaults()
+	if cfg.NewContentThreshold == 0 {
+		cfg.NewContentThreshold = 0.25
+	}
 	return &Selector{
 		cfg:             cfg,
 		lastOffload:     -1 << 30,
@@ -155,7 +146,7 @@ func (s *Selector) Decide(fs FrameState) (bool, Reason) {
 		s.record(fs.Index, ReasonLost)
 		return true, ReasonLost
 	}
-	if fs.Index-s.lastOffload < s.cfg.MinOffloadGap {
+	if fs.Index-s.lastOffload < minOffloadGap {
 		return false, ReasonNone
 	}
 	clusterHit := !s.cfg.DisableClusterTrigger && len(fs.NewAreas) > 0
@@ -170,7 +161,7 @@ func (s *Selector) Decide(fs FrameState) (bool, Reason) {
 	case fs.MovingObjects > 0:
 		s.record(fs.Index, ReasonObjectMotion)
 		return true, ReasonObjectMotion
-	case fs.Index-s.lastEdgeResult > s.cfg.MaxKeyframeGap:
+	case fs.Index-s.lastEdgeResult > maxKeyframeGap:
 		s.record(fs.Index, ReasonKeyframe)
 		return true, ReasonKeyframe
 	default:
@@ -199,7 +190,7 @@ func (s *Selector) Partition(g codec.Grid, fs FrameState) ([]codec.QualityLevel,
 			levels[tile] = lvl
 		}
 	}
-	margin := s.cfg.ContextMargin * codec.TileSize
+	margin := contextMargin * codec.TileSize
 	for _, b := range fs.ObjectBoxes {
 		for _, t := range g.TilesInBox(b) {
 			raise(t, codec.QualityHigh)

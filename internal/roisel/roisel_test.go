@@ -44,30 +44,33 @@ func TestDecideObjectMotion(t *testing.T) {
 }
 
 func TestDecideKeyframeStaleness(t *testing.T) {
-	s := NewSelector(Config{MaxKeyframeGap: 10})
+	s := NewSelector(Config{})
 	s.NoteEdgeResult(0)
-	ok, reason := s.Decide(FrameState{Index: 11})
+	if ok, reason := s.Decide(FrameState{Index: maxKeyframeGap}); ok {
+		t.Errorf("gap of exactly maxKeyframeGap: got (%v, %v), want no offload", ok, reason)
+	}
+	ok, reason := s.Decide(FrameState{Index: maxKeyframeGap + 1})
 	if !ok || reason != ReasonKeyframe {
 		t.Errorf("got (%v, %v)", ok, reason)
 	}
 }
 
 func TestDecideThrottle(t *testing.T) {
-	s := NewSelector(Config{MinOffloadGap: 5})
+	s := NewSelector(Config{})
 	if ok, _ := s.Decide(FrameState{Index: 10, UnlabeledFraction: 0.9}); !ok {
 		t.Fatal("first offload should fire")
 	}
-	// Immediately after: throttled even with a strong trigger.
-	if ok, _ := s.Decide(FrameState{Index: 12, UnlabeledFraction: 0.9}); ok {
+	// Up to minOffloadGap frames after: throttled even with a strong trigger.
+	if ok, _ := s.Decide(FrameState{Index: 10 + minOffloadGap - 1, UnlabeledFraction: 0.9}); ok {
 		t.Error("throttle violated")
 	}
-	if ok, _ := s.Decide(FrameState{Index: 15, UnlabeledFraction: 0.9}); !ok {
+	if ok, _ := s.Decide(FrameState{Index: 10 + minOffloadGap, UnlabeledFraction: 0.9}); !ok {
 		t.Error("offload after gap should fire")
 	}
 }
 
 func TestDecideLostBypassesThrottle(t *testing.T) {
-	s := NewSelector(Config{MinOffloadGap: 5})
+	s := NewSelector(Config{})
 	s.Decide(FrameState{Index: 10, UnlabeledFraction: 0.9})
 	ok, reason := s.Decide(FrameState{Index: 11, TrackingLost: true})
 	if !ok || reason != ReasonLost {
@@ -76,9 +79,9 @@ func TestDecideLostBypassesThrottle(t *testing.T) {
 }
 
 func TestReasonAccounting(t *testing.T) {
-	s := NewSelector(Config{MinOffloadGap: 1})
+	s := NewSelector(Config{})
 	s.Decide(FrameState{Index: 1, UnlabeledFraction: 0.9})
-	s.Decide(FrameState{Index: 5, MovingObjects: 2})
+	s.Decide(FrameState{Index: 1 + minOffloadGap, MovingObjects: 2})
 	s.Decide(FrameState{Index: 50})
 	if s.OffloadsTotal() != 3 {
 		t.Errorf("total = %d", s.OffloadsTotal())

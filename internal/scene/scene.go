@@ -143,32 +143,26 @@ type World struct {
 
 // WorldConfig controls procedural world generation.
 type WorldConfig struct {
-	Seed              int64
-	Bounds            float64 // ground half-extent (m); default 30
-	BackgroundPoints  int     // texture anchors on ground/walls; default 600
-	PointsPerObject   int     // texture anchors per object; default 120
-	ContourPointBoost int     // extra anchors near box edges per object; default 40
+	Seed   int64
+	Bounds float64 // ground half-extent (m); default 30
 }
 
-func (c *WorldConfig) applyDefaults() {
-	if c.Bounds == 0 {
-		c.Bounds = 30
-	}
-	if c.BackgroundPoints == 0 {
-		c.BackgroundPoints = 600
-	}
-	if c.PointsPerObject == 0 {
-		c.PointsPerObject = 120
-	}
-	if c.ContourPointBoost == 0 {
-		c.ContourPointBoost = 40
-	}
-}
+// Texture anchor counts of a generated world.
+const (
+	// backgroundPoints anchors go on the ground and walls.
+	backgroundPoints = 600
+	// pointsPerObject anchors go on each object's faces.
+	pointsPerObject = 120
+	// contourPointBoost extra anchors per object hug its box edges.
+	contourPointBoost = 40
+)
 
 // NewWorld builds a world containing the given objects and procedurally
 // generated surface texture. Object IDs are assigned (1-based) if unset.
 func NewWorld(cfg WorldConfig, objects []*Object) *World {
-	cfg.applyDefaults()
+	if cfg.Bounds == 0 {
+		cfg.Bounds = 30
+	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	w := &World{Objects: objects, Bounds: cfg.Bounds}
 	for i, o := range objects {
@@ -180,10 +174,10 @@ func NewWorld(cfg WorldConfig, objects []*Object) *World {
 		}
 	}
 	w.Points = make([]SurfacePoint, 0,
-		cfg.BackgroundPoints+len(objects)*(cfg.PointsPerObject+cfg.ContourPointBoost))
-	w.generateBackgroundPoints(cfg, rng)
+		backgroundPoints+len(objects)*(pointsPerObject+contourPointBoost))
+	w.generateBackgroundPoints(rng)
 	for _, o := range objects {
-		w.generateObjectPoints(o, cfg, rng)
+		w.generateObjectPoints(o, rng)
 	}
 	return w
 }
@@ -192,28 +186,27 @@ func NewWorld(cfg WorldConfig, objects []*Object) *World {
 // two far walls so that every viewpoint sees static texture — the points the
 // VO prefers for ego-motion estimation ("pixels of background are more
 // likely to be static", Section III-A).
-func (w *World) generateBackgroundPoints(cfg WorldConfig, rng *rand.Rand) {
-	n := cfg.BackgroundPoints
-	ground := n * 2 / 3
+func (w *World) generateBackgroundPoints(rng *rand.Rand) {
+	ground := backgroundPoints * 2 / 3
 	for i := 0; i < ground; i++ {
 		w.Points = append(w.Points, SurfacePoint{
 			ObjectID:   0,
-			Local:      geom.V3((rng.Float64()*2-1)*cfg.Bounds, 0, (rng.Float64()*2-1)*cfg.Bounds),
+			Local:      geom.V3((rng.Float64()*2-1)*w.Bounds, 0, (rng.Float64()*2-1)*w.Bounds),
 			Normal:     geom.V3(0, 1, 0),
 			Descriptor: rng.Uint64(),
 		})
 	}
 	// Walls at +/-Bounds in Z facing inward, up to 6m high.
-	for i := ground; i < n; i++ {
-		z := cfg.Bounds
+	for i := ground; i < backgroundPoints; i++ {
+		z := w.Bounds
 		normal := geom.V3(0, 0, -1)
 		if i%2 == 0 {
-			z = -cfg.Bounds
+			z = -w.Bounds
 			normal = geom.V3(0, 0, 1)
 		}
 		w.Points = append(w.Points, SurfacePoint{
 			ObjectID:   0,
-			Local:      geom.V3((rng.Float64()*2-1)*cfg.Bounds, rng.Float64()*6, z),
+			Local:      geom.V3((rng.Float64()*2-1)*w.Bounds, rng.Float64()*6, z),
 			Normal:     normal,
 			Descriptor: rng.Uint64(),
 		})
@@ -223,7 +216,7 @@ func (w *World) generateBackgroundPoints(cfg WorldConfig, rng *rand.Rand) {
 // generateObjectPoints scatters anchors over the six box faces. A fraction
 // of the anchors hug face borders, mirroring edgeIS's preference for
 // features "near the edge of the mask" (Section III-A).
-func (w *World) generateObjectPoints(o *Object, cfg WorldConfig, rng *rand.Rand) {
+func (w *World) generateObjectPoints(o *Object, rng *rand.Rand) {
 	sample := func(edgeBiased bool) SurfacePoint {
 		face := rng.Intn(6)
 		axis := face / 2 // 0=x, 1=y, 2=z
@@ -257,10 +250,10 @@ func (w *World) generateObjectPoints(o *Object, cfg WorldConfig, rng *rand.Rand)
 			Descriptor: rng.Uint64(),
 		}
 	}
-	for i := 0; i < cfg.PointsPerObject; i++ {
+	for i := 0; i < pointsPerObject; i++ {
 		w.Points = append(w.Points, sample(false))
 	}
-	for i := 0; i < cfg.ContourPointBoost; i++ {
+	for i := 0; i < contourPointBoost; i++ {
 		w.Points = append(w.Points, sample(true))
 	}
 }

@@ -90,28 +90,21 @@ type KeyframePolicy struct {
 	// Interval forces a keyframe every Interval frames. Interval <= 1
 	// disables skip-compute (every frame is a keyframe).
 	Interval int
-	// MotionThreshold is the relative center displacement (fraction of the
-	// contour's scale, sqrt of its box area) beyond which a transferred
-	// contour counts as moved. 0 means the default 0.25.
-	MotionThreshold float64
-	// ChurnLimit is the moved fraction of transferred contours above which
-	// a keyframe is forced regardless of age. 0 means the default 0.5.
-	ChurnLimit float64
 }
+
+// Keyframe triggers besides the interval.
+const (
+	// motionThreshold is the relative center displacement (fraction of the
+	// contour's scale, sqrt of its box area) beyond which a transferred
+	// contour counts as moved.
+	motionThreshold = 0.25
+	// churnLimit is the moved fraction of transferred contours above which
+	// a keyframe is forced regardless of age.
+	churnLimit = 0.5
+)
 
 // Enabled reports whether the policy ever produces non-keyframes.
 func (p KeyframePolicy) Enabled() bool { return p.Interval > 1 }
-
-// withDefaults fills the zero thresholds.
-func (p KeyframePolicy) withDefaults() KeyframePolicy {
-	if p.MotionThreshold <= 0 {
-		p.MotionThreshold = 0.25
-	}
-	if p.ChurnLimit <= 0 {
-		p.ChurnLimit = 0.5
-	}
-	return p
-}
 
 // KeyframeDecision is the outcome of KeyframePolicy.Decide for one frame.
 // It rides the inference job so the accelerator worker that serves the
@@ -197,7 +190,6 @@ func (p KeyframePolicy) Decide(c *FeatureCache, in Input, g Guidance) KeyframeDe
 	if !p.Enabled() || c == nil {
 		return KeyframeDecision{Keyframe: true, Reason: KeyDisabled}
 	}
-	p = p.withDefaults()
 	boxes := GuidanceAreas(g)
 	keyframe := func(why KeyframeReason) KeyframeDecision {
 		c.refresh(in, g, boxes)
@@ -216,8 +208,8 @@ func (p KeyframePolicy) Decide(c *FeatureCache, in Input, g Guidance) KeyframeDe
 	if age >= p.Interval {
 		return keyframe(KeyInterval)
 	}
-	churn, moved, orphans := matchContours(c.areas, boxes, p.MotionThreshold)
-	if churn > p.ChurnLimit {
+	churn, moved, orphans := matchContours(c.areas, boxes)
+	if churn > churnLimit {
 		return keyframe(KeyChurn)
 	}
 	c.age = age
@@ -277,10 +269,10 @@ func (k *KeyframeStream) Valid() bool { return k.cache.Valid() }
 // matchContours greedily matches each current contour box to the nearest
 // cached keyframe box by center distance. A current box counts as moved
 // when it has no cached counterpart (a new area) or its center displaced
-// beyond motionThresh x its scale. Returned are the moved fraction of
+// beyond motionThreshold x its scale. Returned are the moved fraction of
 // current boxes, the moved boxes themselves, and the cached boxes left
 // unmatched (content that left the frame — their tiles changed too).
-func matchContours(prev, cur []mask.Box, motionThresh float64) (churn float64, moved, orphans []mask.Box) {
+func matchContours(prev, cur []mask.Box) (churn float64, moved, orphans []mask.Box) {
 	taken := make([]bool, len(prev))
 	nMoved := 0
 	for _, cb := range cur {
@@ -303,7 +295,7 @@ func matchContours(prev, cur []mask.Box, motionThresh float64) (churn float64, m
 		}
 		taken[bestIdx] = true
 		scale := math.Sqrt(float64(prev[bestIdx].Area()))
-		if bestDist > motionThresh*scale {
+		if bestDist > motionThreshold*scale {
 			nMoved++
 			moved = append(moved, cb, prev[bestIdx])
 		}

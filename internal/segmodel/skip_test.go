@@ -148,7 +148,7 @@ func TestKeyframeOnChurn(t *testing.T) {
 	c := NewFeatureCache()
 	p := KeyframePolicy{Interval: 8}
 	p.Decide(c, in, guidanceFor(in, 0, 0))
-	// Both contours jump far beyond MotionThreshold x their scale.
+	// Both contours jump far beyond motionThreshold x their scale.
 	d := p.Decide(c, in, guidanceFor(in, 150, 120))
 	if !d.Keyframe || d.Reason != KeyChurn {
 		t.Fatalf("large motion: got %+v, want keyframe/churn", d)

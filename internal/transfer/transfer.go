@@ -37,30 +37,19 @@ type Config struct {
 	// K is the number of nearest in-mask features averaged for a contour
 	// pixel's depth (paper: 5).
 	K int
-	// MaxViewAngle is the largest rotation (radians) between source and
-	// current frame for the source to qualify ("the angle between the
-	// frames is not too large"); default 0.5.
-	MaxViewAngle float64
-	// MaxContourPoints subsamples long contours for speed (default 160).
-	MaxContourPoints int
-	// MinMaskArea skips degenerate cached masks (default 16 px).
-	MinMaskArea int
 }
 
-func (c *Config) applyDefaults() {
-	if c.K == 0 {
-		c.K = 5
-	}
-	if c.MaxViewAngle == 0 {
-		c.MaxViewAngle = 0.5
-	}
-	if c.MaxContourPoints == 0 {
-		c.MaxContourPoints = 160
-	}
-	if c.MinMaskArea == 0 {
-		c.MinMaskArea = 16
-	}
-}
+// Predictor constants.
+const (
+	// maxViewAngle is the largest rotation (radians) between source and
+	// current frame for the source to qualify ("the angle between the
+	// frames is not too large").
+	maxViewAngle = 0.5
+	// maxContourPoints subsamples long contours for speed.
+	maxContourPoints = 160
+	// minMaskArea (px) skips degenerate cached masks.
+	minMaskArea = 16
+)
 
 // CachedMask is an instance mask the mobile side holds for a past frame —
 // either received from the edge server or produced by an earlier transfer.
@@ -108,7 +97,9 @@ type Predictor struct {
 
 // NewPredictor builds a predictor for the given camera.
 func NewPredictor(cam geom.Camera, cfg Config) *Predictor {
-	cfg.applyDefaults()
+	if cfg.K == 0 {
+		cfg.K = 5
+	}
 	return &Predictor{
 		cfg:    cfg,
 		camera: cam,
@@ -122,7 +113,7 @@ func (p *Predictor) SetPool(pool *mask.Pool) { p.pool = pool }
 
 // Put stores a cached mask.
 func (p *Predictor) Put(cm *CachedMask) {
-	if cm.Mask == nil || cm.Mask.Area() < p.cfg.MinMaskArea {
+	if cm.Mask == nil || cm.Mask.Area() < minMaskArea {
 		return
 	}
 	byFrame := p.cache[cm.InstanceID]
@@ -309,7 +300,7 @@ func (p *Predictor) Predict(sys *vo.System, instanceID, frameIdx int) (*Predicti
 
 	// Use the largest contour; cached instance masks are single components
 	// in practice but occlusion can fragment them.
-	contour := mask.LargestContour(src.Mask, p.cfg.MinMaskArea, p.cfg.MaxContourPoints)
+	contour := mask.LargestContour(src.Mask, minMaskArea, maxContourPoints)
 	if len(contour) == 0 {
 		return nil, ErrNoSource
 	}
@@ -334,7 +325,7 @@ func (p *Predictor) Predict(sys *vo.System, instanceID, frameIdx int) (*Predicti
 	}
 	m := p.pool.Get(p.camera.Width, p.camera.Height)
 	mask.FillPolygonInto(m, projected, p.camera.Width, p.camera.Height)
-	if m.Area() < p.cfg.MinMaskArea {
+	if m.Area() < minMaskArea {
 		p.pool.Put(m) // never escaped; reclaim immediately
 		return nil, ErrNoSource
 	}
@@ -360,7 +351,7 @@ func (p *Predictor) Predict(sys *vo.System, instanceID, frameIdx int) (*Predicti
 }
 
 // selectSource picks the best cached mask for the instance: an edge mask
-// when possible, observed from the closest viewpoint within MaxViewAngle,
+// when possible, observed from the closest viewpoint within maxViewAngle,
 // preferring recent frames.
 func (p *Predictor) selectSource(sys *vo.System, instanceID int, cur *vo.FrameRecord) (*CachedMask, *vo.FrameRecord) {
 	byFrame := p.cache[instanceID]
@@ -392,7 +383,7 @@ func (p *Predictor) selectSource(sys *vo.System, instanceID int, cur *vo.FrameRe
 			continue
 		}
 		angle := cur.TCW.RotationAngle(rec.TCW)
-		if angle > p.cfg.MaxViewAngle {
+		if angle > maxViewAngle {
 			continue
 		}
 		cand := candidate{cm: cm, rec: rec, angle: angle}

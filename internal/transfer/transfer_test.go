@@ -378,18 +378,34 @@ func TestPredictionChaining(t *testing.T) {
 }
 
 func TestMaxViewAngleRejectsRotatedSources(t *testing.T) {
-	// A predictor with a tiny MaxViewAngle must refuse sources once the
-	// camera has rotated past it.
-	h := newHarness(t, transferWorld(), lateralTraj(), 60)
-	h.pred = NewPredictor(h.cam, Config{MaxViewAngle: 0.02})
+	// A wide walk turns the camera past maxViewAngle from the init frames,
+	// the only cached sources: the predictor must refuse them.
+	walk := scene.WaypointPath{
+		Waypoints: []geom.Vec3{geom.V3(-5, 1.6, -2), geom.V3(7, 1.6, -1)},
+		Target:    geom.V3(0, 1, 9),
+		Speed:     scene.WalkSpeed,
+	}
+	h := newHarness(t, transferWorld(), walk, 240)
 	if h.run(0) < 0 {
 		t.Fatal("no init")
 	}
 	last := h.frames[len(h.frames)-1]
-	preds := h.pred.PredictAll(h.sys, last.Index)
-	// The only cached sources are the init frames; the lateral walk turns
-	// the camera by far more than 0.02 rad by the end of the clip.
-	if len(preds) != 0 {
+	cur := h.sys.FrameRecordAt(last.Index)
+	if cur == nil {
+		t.Fatal("last frame untracked")
+	}
+	for _, byFrame := range h.pred.cache {
+		for idx := range byFrame {
+			src := h.sys.FrameRecordAt(idx)
+			if src == nil {
+				t.Fatalf("source frame %d evicted", idx)
+			}
+			if a := cur.TCW.RotationAngle(src.TCW); a <= maxViewAngle {
+				t.Fatalf("source frame %d is only %.2f rad from the last frame", idx, a)
+			}
+		}
+	}
+	if preds := h.pred.PredictAll(h.sys, last.Index); len(preds) != 0 {
 		t.Errorf("%d predictions from out-of-angle sources", len(preds))
 	}
 }
@@ -398,9 +414,6 @@ func TestPredictorConfigDefaults(t *testing.T) {
 	p := NewPredictor(geom.StandardCamera(64, 64), Config{})
 	if p.cfg.K != 5 {
 		t.Errorf("default K = %d, want the paper's 5", p.cfg.K)
-	}
-	if p.cfg.MaxViewAngle != 0.5 || p.cfg.MaxContourPoints != 160 {
-		t.Errorf("defaults = %+v", p.cfg)
 	}
 }
 

@@ -65,85 +65,48 @@ func (s Status) String() string {
 	}
 }
 
-// Config tunes the VO system.
+// Config configures the VO system: the camera it tracks with and the seed
+// of its random draws.
 type Config struct {
 	Camera geom.Camera
 	Seed   int64
-	// MinInitParallax is the median pixel displacement required between
-	// the two initialization frames (default 8).
-	MinInitParallax float64
-	// MinInitMatches is the minimum descriptor matches between the
-	// initialization pair (default 40).
-	MinInitMatches int
-	// RansacIters and RansacThreshold tune fundamental estimation
-	// (defaults 64 and 2 px).
-	RansacIters     int
-	RansacThreshold float64
-	// MinSharpness is the blurriness-check threshold of the feature
-	// selection (default 0.2).
-	MinSharpness float64
-	// MinBGSpacing is the minimum pixel distance between selected
-	// background features (default 3).
-	MinBGSpacing float64
-	// ContourBand is the distance (px) from a mask boundary within which
-	// features count as contour features and skip the blurriness check
-	// (default 3).
-	ContourBand int
-	// MovingWindow is the frame span over which static-hypothesis
-	// violations must persist before an instance is flagged as moving
-	// ("pose changes significantly over a period", Section V; default 20).
-	MovingWindow int
-	// RefineParallax is the pixel displacement from a point's anchor
-	// observation beyond which it is re-triangulated (default 25).
-	RefineParallax float64
-	// Cleanup bounds map growth (default MaxAge 120, MaxPoints 6000).
-	Cleanup CleanupPolicy
-	// MaxFrameRecords bounds the per-frame history ring (default 150).
-	MaxFrameRecords int
-	// RelocalizeFrames is how many frames the system attempts to re-match
-	// the existing map after a tracking failure before declaring the
-	// session lost (default 20).
-	RelocalizeFrames int
 }
 
-func (c *Config) applyDefaults() {
-	if c.MinInitParallax == 0 {
-		c.MinInitParallax = 8
-	}
-	if c.MinInitMatches == 0 {
-		c.MinInitMatches = 40
-	}
-	if c.RansacIters == 0 {
-		c.RansacIters = 64
-	}
-	if c.RansacThreshold == 0 {
-		c.RansacThreshold = 2
-	}
-	if c.MinSharpness == 0 {
-		c.MinSharpness = 0.2
-	}
-	if c.MinBGSpacing == 0 {
-		c.MinBGSpacing = 3
-	}
-	if c.ContourBand == 0 {
-		c.ContourBand = 3
-	}
-	if c.MovingWindow == 0 {
-		c.MovingWindow = 20
-	}
-	if c.RefineParallax == 0 {
-		c.RefineParallax = 15
-	}
-	if c.Cleanup == (CleanupPolicy{}) {
-		c.Cleanup = CleanupPolicy{MaxAge: 120, MaxPoints: 6000}
-	}
-	if c.MaxFrameRecords == 0 {
-		c.MaxFrameRecords = 150
-	}
-	if c.RelocalizeFrames == 0 {
-		c.RelocalizeFrames = 20
-	}
-}
+// VO tuning constants.
+const (
+	// minInitParallax is the pixel displacement an initialization match
+	// needs to count toward the parallax check.
+	minInitParallax = 8
+	// minInitMatches is the minimum descriptor matches between the
+	// initialization pair.
+	minInitMatches = 40
+	// ransacIters and ransacThreshold (px) tune fundamental estimation.
+	ransacIters     = 64
+	ransacThreshold = 2
+	// minSharpness is the blurriness-check threshold of the feature
+	// selection.
+	minSharpness = 0.2
+	// minBGSpacing is the minimum pixel distance between selected
+	// background features.
+	minBGSpacing = 3
+	// contourBand is the distance (px) from a mask boundary within which
+	// features count as contour features and skip the blurriness check.
+	contourBand = 3
+	// movingWindow is the frame span over which static-hypothesis
+	// violations must persist before an instance is flagged as moving
+	// ("pose changes significantly over a period", Section V).
+	movingWindow = 20
+	// maxFrameRecords bounds the per-frame history ring.
+	maxFrameRecords = 150
+	// relocalizeFrames is how many frames the system attempts to re-match
+	// the existing map after a tracking failure before declaring the
+	// session lost.
+	relocalizeFrames = 20
+)
+
+// mapCleanup bounds map growth: points unseen for 120 frames go, and the
+// map never holds more than 6000.
+var mapCleanup = CleanupPolicy{MaxAge: 120, MaxPoints: 6000}
 
 // FrameRecord stores per-frame tracking output, the geometry source for
 // mask transfer.
@@ -275,7 +238,6 @@ type pendingInit struct {
 
 // NewSystem builds a VO system.
 func NewSystem(cfg Config) *System {
-	cfg.applyDefaults()
 	return &System{
 		cfg:          cfg,
 		world:        NewMap(),
@@ -371,9 +333,9 @@ func (s *System) ProcessFrame(idx int, kps []Keypoint) Status {
 // descriptors, solve from scratch seeded by the last known pose. Success
 // returns straight to tracking with the whole map intact (ORB-SLAM's
 // relocalization, minus the bag-of-words lookup our exact descriptors make
-// unnecessary). After RelocalizeFrames of failure the session is lost.
+// unnecessary). After relocalizeFrames of failure the session is lost.
 func (s *System) relocalize(idx int, kps []Keypoint) Status {
-	if idx-s.relocStart > s.cfg.RelocalizeFrames {
+	if idx-s.relocStart > relocalizeFrames {
 		s.state = StatusLost
 		return s.state
 	}
@@ -419,13 +381,13 @@ func (s *System) processInitFrame(idx int, kps []Keypoint) Status {
 		return StatusInitPairReady
 	}
 	rec := newRecord(idx, kps)
-	if s.ref == nil || len(s.ref.Keypoints) < s.cfg.MinInitMatches {
+	if s.ref == nil || len(s.ref.Keypoints) < minInitMatches {
 		s.ref = rec
 		s.state = StatusCollecting
 		return s.state
 	}
 	matches := matchKeypoints(s.ref.Keypoints, kps)
-	if len(matches) < s.cfg.MinInitMatches {
+	if len(matches) < minInitMatches {
 		// Scene changed too much; restart from this frame.
 		s.ref = rec
 		s.pending = nil
@@ -441,7 +403,7 @@ func (s *System) processInitFrame(idx int, kps []Keypoint) Status {
 	// background dilutes.
 	highParallax := 0
 	for _, c := range corr {
-		if c.P0.DistTo(c.P1) >= s.cfg.MinInitParallax {
+		if c.P0.DistTo(c.P1) >= minInitParallax {
 			highParallax++
 		}
 	}
@@ -510,11 +472,11 @@ func maskIndexAt(masks []LabeledMask, px geom.Vec2) int {
 }
 
 // contourBands precomputes, for each mask, the band of pixels within
-// ContourBand of the boundary.
+// contourBand of the boundary.
 func (s *System) contourBands(masks []LabeledMask) []*mask.Bitmask {
 	bands := make([]*mask.Bitmask, len(masks))
 	for i, lm := range masks {
-		inner := lm.Mask.Erode(s.cfg.ContourBand)
+		inner := lm.Mask.Erode(contourBand)
 		band := lm.Mask.Clone()
 		band.Subtract(inner)
 		bands[i] = band
@@ -550,12 +512,12 @@ func (s *System) CompleteInitialization(masksRef, masksCur []LabeledMask) error 
 
 		if mi == -1 && mj == -1 {
 			// Background feature: blurriness check, then spacing check.
-			if rk.Sharpness < s.cfg.MinSharpness || ck.Sharpness < s.cfg.MinSharpness {
+			if rk.Sharpness < minSharpness || ck.Sharpness < minSharpness {
 				continue
 			}
 			tooClose := false
 			for _, q := range bgPixels {
-				if q.DistTo(rk.Pixel) < s.cfg.MinBGSpacing {
+				if q.DistTo(rk.Pixel) < minBGSpacing {
 					tooClose = true
 					break
 				}
@@ -573,7 +535,7 @@ func (s *System) CompleteInitialization(masksRef, masksCur []LabeledMask) error 
 			// pass the blurriness check (Section III-A).
 			onContour := bandsRef[mi].At(int(rk.Pixel.X), int(rk.Pixel.Y)) ||
 				bandsCur[mj].At(int(ck.Pixel.X), int(ck.Pixel.Y))
-			if !onContour && (rk.Sharpness < s.cfg.MinSharpness || ck.Sharpness < s.cfg.MinSharpness) {
+			if !onContour && (rk.Sharpness < minSharpness || ck.Sharpness < minSharpness) {
 				continue
 			}
 			selected = append(selected, selMatch{m[0], m[1], mi, mj})
@@ -603,7 +565,7 @@ func (s *System) CompleteInitialization(masksRef, masksCur []LabeledMask) error 
 	var initErr error
 	solved := false
 	for _, corr := range attempts {
-		f, inliers, err := EstimateFundamental(corr, s.cfg.RansacThreshold, s.cfg.RansacIters, s.rng)
+		f, inliers, err := EstimateFundamental(corr, ransacThreshold, ransacIters, s.rng)
 		if err != nil {
 			initErr = err
 			continue
@@ -803,7 +765,7 @@ func (s *System) track(idx int, kps []Keypoint) Status {
 	rec.TCW = res.Pose
 
 	// Suspect detection: evaluate every instance's current observations
-	// against its structure from MovingWindow frames ago. The local BA
+	// against its structure from movingWindow frames ago. The local BA
 	// continuously refits an unflagged instance's structure under the
 	// static-world hypothesis, which makes a moving object's *current*
 	// structure follow it and look consistent — but its observations can
@@ -949,7 +911,7 @@ func (s *System) track(idx int, kps []Keypoint) Status {
 	// frame ("the map gets updated in the same frequency as input").
 	s.expandMap(rec)
 
-	s.world.Cleanup(s.cfg.Cleanup, idx)
+	s.world.Cleanup(mapCleanup, idx)
 	s.storeFrame(rec)
 	s.cur = rec
 	s.localBundleAdjustment()
@@ -958,7 +920,7 @@ func (s *System) track(idx int, kps []Keypoint) Status {
 	// the differential drift statistic of the motion detector. Once the
 	// ring is full, the oldest snapshot's map is cleared and reused.
 	var snap map[int]geom.Vec3
-	if n := len(s.posSnapshots); n > s.cfg.MovingWindow {
+	if n := len(s.posSnapshots); n > movingWindow {
 		snap = s.posSnapshots[0]
 		clear(snap)
 		copy(s.posSnapshots, s.posSnapshots[1:])
@@ -1142,10 +1104,10 @@ func (s *System) updateMotionState(inst *InstanceTrack, obs []Observation, tcw g
 		// object stopped, or the flag was a false positive), return it to
 		// the static world and let the local BA re-sync its structure.
 		inst.twoHistory = append(inst.twoHistory, inst.TWO.T)
-		if len(inst.twoHistory) > s.cfg.MovingWindow+1 {
+		if len(inst.twoHistory) > movingWindow+1 {
 			inst.twoHistory = inst.twoHistory[1:]
 		}
-		if len(inst.twoHistory) > s.cfg.MovingWindow && inst.MeanDepth > 0 {
+		if len(inst.twoHistory) > movingWindow && inst.MeanDepth > 0 {
 			drift := inst.twoHistory[len(inst.twoHistory)-1].Sub(inst.twoHistory[0]).Norm()
 			driftPx := s.cfg.Camera.Fx * drift / inst.MeanDepth
 			// Un-flag only when the pose is stable AND the frozen
@@ -1174,7 +1136,7 @@ func (s *System) updateMotionState(inst *InstanceTrack, obs []Observation, tcw g
 			inst.movingVotes = 0
 		}
 	}
-	half := s.cfg.MovingWindow / 2
+	half := movingWindow / 2
 	if half < 1 {
 		half = 1
 	}
@@ -1390,10 +1352,10 @@ func (s *System) retireUnconfirmed(rec *FrameRecord, masks []LabeledMask) {
 func (s *System) storeFrame(rec *FrameRecord) {
 	s.frames[rec.Index] = rec
 	s.frameOrder = append(s.frameOrder, rec.Index)
-	for len(s.frameOrder) > s.cfg.MaxFrameRecords {
+	for len(s.frameOrder) > maxFrameRecords {
 		evicted := false
 		for i, idx := range s.frameOrder {
-			if !s.frames[idx].Annotated || len(s.frameOrder)-i > 2*s.cfg.MaxFrameRecords {
+			if !s.frames[idx].Annotated || len(s.frameOrder)-i > 2*maxFrameRecords {
 				delete(s.frames, idx)
 				s.frameOrder = append(s.frameOrder[:i], s.frameOrder[i+1:]...)
 				evicted = true

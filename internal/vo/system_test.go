@@ -391,32 +391,66 @@ func TestStatusString(t *testing.T) {
 }
 
 func TestConfigRelocalizeWindow(t *testing.T) {
-	// A tiny relocalization window falls through to lost quickly.
+	// Garbage frames keep the system relocalizing for relocalizeFrames
+	// frames after the failure, then it gives up on the map.
 	h := newHarness(t, staticWorld(), sideTraj(), 25, scene.WalkSpeed)
-	h.sys = NewSystem(Config{Camera: h.cam, Seed: 5, RelocalizeFrames: 2})
 	h.run()
 	if h.sys.State() != StatusTracking {
 		t.Skip("did not reach tracking")
 	}
 	garbage := []Keypoint{{Pixel: geom.V2(1, 1), Descriptor: 1 << 59, Sharpness: 1}}
-	last := h.sys.ProcessFrame(25, garbage)
-	for i := 26; i < 32 && last != StatusLost; i++ {
-		last = h.sys.ProcessFrame(i, garbage)
+	if st := h.sys.ProcessFrame(25, garbage); st != StatusRelocalizing {
+		t.Fatalf("state after the failed frame = %v, want relocalizing", st)
 	}
-	if last != StatusLost {
-		t.Errorf("state = %v, want lost within the short window", last)
+	for i := 26; i <= 25+relocalizeFrames; i++ {
+		if st := h.sys.ProcessFrame(i, garbage); st != StatusRelocalizing {
+			t.Fatalf("frame %d: state = %v, want relocalizing inside the window", i, st)
+		}
+	}
+	if st := h.sys.ProcessFrame(26+relocalizeFrames, garbage); st != StatusLost {
+		t.Errorf("state past the window = %v, want lost", st)
 	}
 }
 
 func TestConfigCleanupBoundsMap(t *testing.T) {
-	h := newHarness(t, staticWorld(), sideTraj(), 60, scene.WalkSpeed)
-	h.sys = NewSystem(Config{
-		Camera:  h.cam,
-		Seed:    5,
-		Cleanup: CleanupPolicy{MaxPoints: 120, MaxAge: 1000},
-	})
-	h.run()
-	if got := h.sys.Map().Len(); got > 120 {
-		t.Errorf("map grew to %d despite a 120-point cap", got)
+	// Tracking applies mapCleanup every frame: a long walk leaves points
+	// behind, and each one unseen for more than MaxAge frames must be gone.
+	walk := scene.WaypointPath{
+		Waypoints: []geom.Vec3{geom.V3(-5, 1.6, -2), geom.V3(5, 1.6, -1)},
+		Target:    geom.V3(0, 1, 9),
+		Speed:     scene.WalkSpeed,
+	}
+	h := newHarness(t, staticWorld(), walk, 200, scene.WalkSpeed)
+	lastSeen := map[int]int{} // point ID -> its LastSeen while still mapped
+	var st Status
+	for _, f := range h.frames {
+		st = h.sys.ProcessFrame(f.Index, toKeypoints(h.ex.Extract(f, h.speed)))
+		if st == StatusInitPairReady {
+			r, c, _ := h.sys.PendingInitPair()
+			_ = h.sys.CompleteInitialization(gtMasks(h.frames[r]), gtMasks(h.frames[c]))
+			st = h.sys.State()
+		}
+		for id, p := range h.sys.world.points {
+			lastSeen[id] = p.LastSeen
+		}
+	}
+	if st != StatusTracking {
+		t.Fatalf("walk ended %v, want tracking", st)
+	}
+	final := h.frames[len(h.frames)-1].Index
+	aged, kept := 0, 0
+	for id, seen := range lastSeen {
+		if final-seen > mapCleanup.MaxAge {
+			aged++
+			if h.sys.world.points[id] != nil {
+				kept++
+			}
+		}
+	}
+	if aged == 0 {
+		t.Fatalf("no point went unseen for %d frames; the walk does not exercise the cleanup", mapCleanup.MaxAge)
+	}
+	if kept > 0 {
+		t.Errorf("%d of %d points unseen for over %d frames are still mapped", kept, aged, mapCleanup.MaxAge)
 	}
 }
